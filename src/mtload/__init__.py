@@ -6,10 +6,8 @@ from .cloud import (CloudState, MotCloud, QuadrupoleField, density_at,
                     effective_volume, make_cloud_state, one_over_e_radius,
                     phase_space_density, predict_mt_temperature,
                     shape_params)
-from .collisions import (CollisionInput, cross_section_from_beta,
-                         excited_mot_density, mean_collision_velocity,
-                         overlap_correction)
-from .constants import CONSTANTS, PhysConstants
+from .collisions import (cross_section_from_beta, excited_mot_density,
+                         mean_collision_velocity, overlap_correction)
 from .dynamics import (RateModel, Trajectory, integrate_mt_decay,
                        loading_curve, mot_on_decay_rate,
                        steady_state_population)
@@ -18,39 +16,34 @@ from .errors import (ConfigError, FitNotConvergedError, GravityAxisError,
 from .estimation import (DensityImage, SampleSeries, fit_density_image,
                          fit_linear, fit_loading_curve, fit_two_body_loss,
                          render_density_image)
-from .excitation import (LightField, TransferModel, efficiency_from_rate,
+from .excitation import (LightField, efficiency_from_rate,
                          excitation_probability, transfer_rate)
 from .leastsq import FitResult, least_squares
-from .mc import (Ensemble, Particle, PumpingDistribution, TransferReport,
-                 equilibrium_temperature, sample_mot_atom, sample_mot_atoms,
-                 sample_zeeman_substate, sample_zeeman_substates, seed_stream,
-                 simulate_transfer, transfer_energy_audit)
+from .mc import (Ensemble, PumpingDistribution, TransferReport,
+                 sample_mot_atoms, sample_zeeman_substates, seed_stream,
+                 simulate_transfer)
 from .scenario import Scenario, default_scenario, load_scenario, parse_scenario
 from .species import SpeciesData, chromium52, unit_convert
-
-__version__ = "0.1.0"
+from .tables import TOOL_VERSION as __version__
 
 __all__ = [
     "CloudState", "MotCloud", "QuadrupoleField", "density_at",
     "effective_volume", "make_cloud_state", "one_over_e_radius",
     "phase_space_density", "predict_mt_temperature", "shape_params",
-    "CollisionInput", "cross_section_from_beta", "excited_mot_density",
+    "cross_section_from_beta", "excited_mot_density",
     "mean_collision_velocity", "overlap_correction",
-    "CONSTANTS", "PhysConstants",
     "RateModel", "Trajectory", "integrate_mt_decay", "loading_curve",
     "mot_on_decay_rate", "steady_state_population",
     "ConfigError", "FitNotConvergedError", "GravityAxisError",
     "IntegrationError", "MtloadError", "UntrappedCloudError",
     "DensityImage", "SampleSeries", "fit_density_image", "fit_linear",
     "fit_loading_curve", "fit_two_body_loss", "render_density_image",
-    "LightField", "TransferModel", "efficiency_from_rate",
+    "LightField", "efficiency_from_rate",
     "excitation_probability", "transfer_rate",
     "FitResult", "least_squares",
-    "Ensemble", "Particle", "PumpingDistribution", "TransferReport",
-    "equilibrium_temperature", "sample_mot_atom", "sample_mot_atoms",
-    "sample_zeeman_substate", "sample_zeeman_substates", "seed_stream",
+    "Ensemble", "PumpingDistribution", "TransferReport",
+    "sample_mot_atoms", "sample_zeeman_substates", "seed_stream",
     "simulate_transfer",
-    "transfer_energy_audit",
     "Scenario", "default_scenario", "load_scenario", "parse_scenario",
     "SpeciesData", "chromium52", "unit_convert",
     "__version__",

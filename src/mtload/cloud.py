@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .constants import G_ACCEL, K_B, H_PLANCK
 from .errors import UntrappedCloudError
@@ -116,9 +115,10 @@ def effective_volume(shape_b: float, shape_g: float) -> float:
     Rescaling the coil axis (z' = 2z) and carrying out the angular average
     of the sag term exactly leaves a single radial integral,
 
-        V = 2 pi * int_0^inf r^2 exp(-B r) sinh(G r)/(G r) dr,
+        V = 2 pi * int_0^inf r^2 exp(-B r) sinh(G r)/(G r) dr
+          = 4 pi B / (B^2 - G^2)^2,
 
-    evaluated by adaptive quadrature. The profile is only normalizable
+    which is exact for every G < B. The profile is only normalizable
     while the magnetic confinement beats gravity along -y, i.e. G < B;
     at G >= B the integrand grows without bound and no volume exists.
     """
@@ -131,20 +131,9 @@ def effective_volume(shape_b: float, shape_g: float) -> float:
             f"gravity overwhelms confinement (shape_g={shape_g:g} >= "
             f"shape_b={shape_b:g}); the cloud is untrapped"
         )
-    # integrate in the dimensionless radius u = B r so the integrand is
-    # O(1) regardless of the cloud scale
-    ratio = shape_g / shape_b
-    if ratio == 0.0:
-        def integrand(u):
-            return u * u * math.exp(-u)
-    else:
-        # u^2 e^{-u} sinh(ratio*u)/(ratio*u) in an overflow-safe form
-        def integrand(u):
-            return (-u * math.exp(-(1.0 - ratio) * u)
-                    * math.expm1(-2.0 * ratio * u) / (2.0 * ratio))
-    val, _ = integrate.quad(integrand, 0.0, np.inf, epsabs=0.0,
-                            epsrel=1e-9, limit=200)
-    return 2.0 * math.pi * val / shape_b ** 3
+    # (B - G)(B + G) rather than B^2 - G^2: no cancellation as G -> B
+    return 4.0 * math.pi * shape_b / ((shape_b - shape_g)
+                                      * (shape_b + shape_g)) ** 2
 
 
 def phase_space_density(peak_density: float, temperature: float,

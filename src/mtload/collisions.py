@@ -3,29 +3,19 @@ cloud: mean collisional velocity, effective excited-atom density, and the
 finite-reservoir-size overlap correction."""
 
 import math
-from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .constants import K_B
 from .species import SpeciesData
 
-
-@dataclass(frozen=True)
-class CollisionInput:
-    """Collision parameters: cloud temperatures and the two cross sections
-    (reservoir-trap inelastic, trap-trap from the two-body coefficient)."""
-
-    t_mot: float      # K
-    t_mt: float       # K
-    sigma_ed: float   # m^2
-    sigma_dd: float   # m^2
-
-    def __post_init__(self):
-        if self.t_mot <= 0 or self.t_mt <= 0:
-            raise ValueError("temperatures must be positive")
-        if self.sigma_ed < 0 or self.sigma_dd < 0:
-            raise ValueError("cross sections must be >= 0")
+# fixed Gauss-Legendre rule for the angle t in (-pi/2, pi/2) of the
+# overlap integral; its integrand is analytic in t
+_NODES, _WEIGHTS = leggauss(32)
+_COS_T = np.cos(0.5 * math.pi * _NODES)
+_SIN2_T = np.sin(0.5 * math.pi * _NODES) ** 2
+_WEIGHTS_T = 0.5 * math.pi * _WEIGHTS
 
 
 def mean_collision_velocity(t_mot: float, t_mt: float,
@@ -63,22 +53,30 @@ def overlap_correction(size_ratio: float) -> float:
     f -> 1 for a point-like reservoir and decreases monotonically with q.
     The exact integrand is a modeling choice; only the magnitude range is
     physically constrained, not a point value.
+
+    In cylinder coordinates with rho = s cos t, 2 z = s sin t (Jacobian
+    s/2) the anisotropic radius is s, and
+
+        f(q) = 1/(2 q^3 sqrt(2 pi)) int_{-pi/2}^{pi/2} cos t I2(a(t)) dt,
+        I_n(a) = int_0^inf s^n exp(-a s^2 - s) ds,
+        a(t) = (cos^2 t + sin^2 t / 4) / (2 q^2).
+
+    The radial integrals close exactly: I0 = sqrt(pi/4a) e^{1/4a}
+    erfc(1/(2 sqrt a)), and integrating by parts gives
+    I1 = (1 - I0)/(2a), I2 = (I0 - I1)/(2a). The angle integral is a
+    fixed 32-point Gauss-Legendre rule.
     """
     if not 0.0 < size_ratio <= 1.0:
         raise ValueError("size_ratio must be in (0, 1]")
-    sig = size_ratio
-    norm = 1.0 / (sig * sig * math.sqrt(2.0 * math.pi * sig * sig))
-
-    def integrand(z, rho):
-        gauss = (norm * rho * math.exp(-rho * rho / (2.0 * sig * sig))
-                 * math.exp(-z * z / (2.0 * sig * sig)))
-        return gauss * math.exp(-math.sqrt(rho * rho + 4.0 * z * z))
-
-    span = 12.0 * sig
-    val, _ = integrate.dblquad(integrand, 0.0, span,
-                               lambda rho: -span, lambda rho: span,
-                               epsabs=1e-12, epsrel=1e-9)
-    return val
+    q = size_ratio
+    a = (_COS_T ** 2 + 0.25 * _SIN2_T) / (2.0 * q * q)
+    x = 0.5 / np.sqrt(a)
+    erfc = np.array([math.erfc(v) for v in x])
+    i0 = np.sqrt(math.pi / (4.0 * a)) * np.exp(x * x) * erfc
+    i1 = (1.0 - i0) / (2.0 * a)
+    i2 = (i0 - i1) / (2.0 * a)
+    return (float(_WEIGHTS_T @ (_COS_T * i2))
+            / (2.0 * q ** 3 * math.sqrt(2.0 * math.pi)))
 
 
 def cross_section_from_beta(beta: float, v: float) -> float:

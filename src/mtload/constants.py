@@ -1,19 +1,6 @@
 """Fundamental physical constants, SI (CODATA 2018)."""
 
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PhysConstants:
-    k_B: float = 1.380649e-23         # J/K (exact)
-    mu_B: float = 9.2740100783e-24    # J/T
-    g_accel: float = 9.80665          # m/s^2 (standard gravity)
-    h_planck: float = 6.62607015e-34  # J s (exact)
-
-
-CONSTANTS = PhysConstants()
-
-K_B = CONSTANTS.k_B
-MU_B = CONSTANTS.mu_B
-G_ACCEL = CONSTANTS.g_accel
-H_PLANCK = CONSTANTS.h_planck
+K_B = 1.380649e-23         # J/K (exact)
+MU_B = 9.2740100783e-24    # J/T
+G_ACCEL = 9.80665          # m/s^2 (standard gravity)
+H_PLANCK = 6.62607015e-34  # J s (exact)

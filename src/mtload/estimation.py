@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B, MU_B
@@ -100,6 +99,10 @@ class DensityImage:
 def _bessel_kernel(u: np.ndarray) -> np.ndarray:
     """u * K1(u) with the u -> 0 limit of 1 (line-of-sight kernel of the
     trapped-cloud profile)."""
+    # scipy is imported here, not at module level: only the density-image
+    # model needs it, and it dominates the package's import time
+    from scipy import special
+
     u = np.asarray(u, dtype=float)
     out = np.ones_like(u)
     nz = u > 0

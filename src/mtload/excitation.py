@@ -34,20 +34,6 @@ class LightField:
         return self.beam_count * self.single_beam_intensity
 
 
-@dataclass(frozen=True)
-class TransferModel:
-    """Record of the transfer bookkeeping: efficiency and excited fraction."""
-
-    efficiency: float                # in [0, 1]
-    excitation_probability: float    # in [0, 0.5]
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must be within [0, 1]")
-        if not 0.0 <= self.excitation_probability <= 0.5:
-            raise ValueError("excitation_probability must be within [0, 0.5]")
-
-
 def excitation_probability(light: LightField, species: SpeciesData) -> float:
     """Steady-state excited fraction of a saturated two-level atom.
 

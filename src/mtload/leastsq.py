@@ -17,9 +17,9 @@ import numpy as np
 from .errors import FitNotConvergedError
 
 DEFAULT_MAX_ITER = 200
-DEFAULT_XTOL = 1e-8
-DEFAULT_FTOL = 1e-10
-DEFAULT_REL_STEP = 1e-6
+_XTOL = 1e-8
+_FTOL = 1e-10
+_REL_STEP = 1e-6
 
 _LAMBDA0 = 1e-3
 _LAMBDA_SHRINK = 0.3
@@ -43,16 +43,15 @@ class FitResult:
     extras: dict = field(default_factory=dict)
 
 
-def numeric_jacobian(residual_fn, x: np.ndarray,
-                     rel_step: float = DEFAULT_REL_STEP) -> np.ndarray:
+def numeric_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of the residual vector at x."""
     x = np.asarray(x, dtype=float)
     r0 = np.asarray(residual_fn(x), dtype=float)
     jac = np.empty((r0.size, x.size))
     for j in range(x.size):
-        h = rel_step * abs(x[j])
+        h = _REL_STEP * abs(x[j])
         if h == 0.0:
-            h = rel_step
+            h = _REL_STEP
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -77,9 +76,6 @@ def _covariance(jac: np.ndarray, ssr: float) -> np.ndarray:
 
 def least_squares(residual_fn, x0, names: tuple[str, ...], *,
                   max_iter: int = DEFAULT_MAX_ITER,
-                  xtol: float = DEFAULT_XTOL,
-                  ftol: float = DEFAULT_FTOL,
-                  rel_step: float = DEFAULT_REL_STEP,
                   lower_bounds=None) -> FitResult:
     """Minimize sum(residual_fn(x)^2) starting at x0.
 
@@ -102,7 +98,7 @@ def least_squares(residual_fn, x0, names: tuple[str, ...], *,
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        jac = numeric_jacobian(residual_fn, x, rel_step)
+        jac = numeric_jacobian(residual_fn, x)
         jtj = jac.T @ jac
         grad = jac.T @ r
         diag = np.diag(jtj).copy()
@@ -134,11 +130,11 @@ def least_squares(residual_fn, x0, names: tuple[str, ...], *,
             math.sqrt(ssr), 1e-300)
         x, r, ssr = x_new, r_new, ssr_new
         lam = max(lam * _LAMBDA_SHRINK, 1e-12)
-        if dx_rel < xtol or df_rel < ftol:
+        if dx_rel < _XTOL or df_rel < _FTOL:
             converged = True
             break
 
-    jac = numeric_jacobian(residual_fn, x, rel_step)
+    jac = numeric_jacobian(residual_fn, x)
     cov = _covariance(jac, ssr)
     stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
     result = FitResult(

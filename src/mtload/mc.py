@@ -31,24 +31,6 @@ def seed_stream(seed: int, label: str) -> np.random.Generator:
     )
 
 
-@dataclass
-class Particle:
-    """Single transferred atom: position (m), velocity (m/s), and the
-    magnetic quantum number of the dark substate it was pumped into."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    zeeman_m: int | None = None
-
-    def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.position.shape != (3,) or self.velocity.shape != (3,):
-            raise ValueError("position and velocity must be 3-vectors")
-        if self.zeeman_m is not None and self.zeeman_m not in ZEEMAN_M_VALUES:
-            raise ValueError("zeeman_m must lie in [-4, 4]")
-
-
 @dataclass(frozen=True)
 class PumpingDistribution:
     """Probabilities of landing in each dark substate m = -4..4 after
@@ -123,12 +105,6 @@ def sample_mot_atoms(mot: MotCloud, species: SpeciesData, count: int,
     return Ensemble(positions=positions, velocities=velocities)
 
 
-def sample_mot_atom(mot: MotCloud, species: SpeciesData,
-                    rng: np.random.Generator) -> Particle:
-    ens = sample_mot_atoms(mot, species, 1, rng)
-    return Particle(ens.positions[0], ens.velocities[0])
-
-
 def sample_zeeman_substates(dist: PumpingDistribution, count: int,
                             rng: np.random.Generator) -> np.ndarray:
     """Categorical draw of dark substates for ``count`` atoms."""
@@ -138,36 +114,13 @@ def sample_zeeman_substates(dist: PumpingDistribution, count: int,
                       p=np.asarray(dist.probabilities))
 
 
-def sample_zeeman_substate(dist: PumpingDistribution,
-                           rng: np.random.Generator) -> int:
-    return int(sample_zeeman_substates(dist, 1, rng)[0])
-
-
-def transfer_energy_audit(particle: Particle, field: QuadrupoleField,
-                          species: SpeciesData) -> tuple[float, float]:
-    """Kinetic and potential energy of one trapped atom at transfer.
-
-    The potential uses the isotropic mean-gradient convention,
-    U = g_d m_d mu_B b |r|, matching the analytic transfer-temperature
-    estimate. High-field seekers (m <= 0) are not trapped and rejected.
-    """
-    if particle.zeeman_m is None or particle.zeeman_m <= 0:
-        raise ValueError("particle is not in a trapped (m > 0) substate")
-    kinetic = 0.5 * species.mass * float(particle.velocity @ particle.velocity)
-    radius = float(np.linalg.norm(particle.position))
-    potential = (species.lande_g_d * particle.zeeman_m * MU_B
-                 * field.gradient * radius)
-    return kinetic, potential
-
-
 def ensemble_energies(ensemble: Ensemble, field: QuadrupoleField,
-                      species: SpeciesData,
-                      anisotropic: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                      species: SpeciesData) -> tuple[np.ndarray, np.ndarray]:
     """Per-particle (kinetic, potential) arrays for a trapped ensemble.
 
-    ``anisotropic=True`` switches the potential to the quadrupole form
-    mu (b/2) sqrt(x^2 + y^2 + 4 z^2) for sensitivity studies; the default
-    isotropic |r| convention is what the analytic estimate assumes.
+    The potential uses the isotropic mean-gradient convention,
+    U = g_d m_d mu_B b |r|, which is what the analytic transfer-temperature
+    estimate assumes.
     """
     if ensemble.zeeman_m is None:
         raise ValueError("ensemble has no substate assignment")
@@ -177,24 +130,9 @@ def ensemble_energies(ensemble: Ensemble, field: QuadrupoleField,
         raise ValueError("ensemble contains untrapped (m <= 0) atoms")
     kinetic = 0.5 * species.mass * np.sum(ensemble.velocities ** 2, axis=1)
     mu = species.lande_g_d * ensemble.zeeman_m * MU_B
-    pos = ensemble.positions
-    if anisotropic:
-        radius = np.sqrt(pos[:, 0] ** 2 + pos[:, 1] ** 2 + 4.0 * pos[:, 2] ** 2)
-        potential = mu * (field.gradient / 2.0) * radius
-    else:
-        radius = np.linalg.norm(pos, axis=1)
-        potential = mu * field.gradient * radius
+    radius = np.linalg.norm(ensemble.positions, axis=1)
+    potential = mu * field.gradient * radius
     return kinetic, potential
-
-
-def equilibrium_temperature(ensemble: Ensemble, field: QuadrupoleField,
-                            species: SpeciesData,
-                            anisotropic: bool = False) -> float:
-    """Virial equilibrium temperature of the transferred ensemble,
-    T = 2 <E_kin + E_pot> / (9 k_B) for a linear potential."""
-    kinetic, potential = ensemble_energies(ensemble, field, species,
-                                           anisotropic)
-    return 2.0 * float(np.mean(kinetic + potential)) / (9.0 * K_B)
 
 
 @dataclass(frozen=True)
@@ -216,8 +154,7 @@ class TransferReport:
 
 def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
                       field: QuadrupoleField, species: SpeciesData,
-                      count: int, rng: np.random.Generator,
-                      anisotropic: bool = False) -> TransferReport:
+                      count: int, rng: np.random.Generator) -> TransferReport:
     """Run one transfer simulation with the supplied generator (derive it
     from a named seed stream for reproducibility): sample, pump, keep the
     low-field seekers, audit energies."""
@@ -227,8 +164,7 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     if len(trapped) == 0:
         raise ValueError("no trapped atoms: pumping distribution has no "
                          "m > 0 weight or count too small")
-    kinetic, potential = ensemble_energies(trapped, field, species,
-                                           anisotropic)
+    kinetic, potential = ensemble_energies(trapped, field, species)
     total = kinetic + potential
     n = len(trapped)
     t_mc = 2.0 * float(total.mean()) / (9.0 * K_B)

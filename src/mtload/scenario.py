@@ -72,6 +72,15 @@ def _parse_value(key: str, kind: str, text: str, lineno: int):
     def fail(message):
         raise ConfigError(f"line {lineno}: {key}: {message}")
 
+    def number(part: str, expected: str) -> float:
+        try:
+            value = float(part)
+        except ValueError:
+            fail(f"expected {expected}, got {text!r}")
+        if not math.isfinite(value):
+            fail(f"must be finite, got {text!r}")
+        return value
+
     text = text.strip()
     if kind == _STR:
         return text
@@ -81,25 +90,16 @@ def _parse_value(key: str, kind: str, text: str, lineno: int):
         except ValueError:
             fail(f"expected an integer, got {text!r}")
     if kind == _FLOAT:
-        try:
-            return float(text)
-        except ValueError:
-            fail(f"expected a number, got {text!r}")
+        return number(text, "a number")
     if kind == _FLOAT_OR_VIRIAL:
         if text == "virial":
             return "virial"
-        try:
-            return float(text)
-        except ValueError:
-            fail(f"expected a number or 'virial', got {text!r}")
+        return number(text, "a number or 'virial'")
     if kind == _FLOAT_LIST:
         parts = [p.strip() for p in text.split(",")]
         if not parts or parts == [""]:
             fail("expected a nonempty comma-separated number list")
-        try:
-            return tuple(float(p) for p in parts)
-        except ValueError:
-            fail(f"expected numbers, got {text!r}")
+        return tuple(number(p, "numbers") for p in parts)
     raise AssertionError(f"unhandled kind {kind}")
 
 
@@ -241,8 +241,6 @@ def _validate(values: dict) -> None:
                 "figure2.atom_numbers", "figure3.atom_numbers",
                 "figure4.lightshift"):
         require(len(values[key]) > 0, key, "sweep must be nonempty")
-        require(all(math.isfinite(v) for v in values[key]), key,
-                "sweep values must be finite")
     require(len(values["figure2.efficiencies"])
             == len(values["figure2.detunings_linewidths"]),
             "figure2.efficiencies",

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -74,6 +75,22 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no.such.key = 1\n", encoding="utf-8")
     assert main(["simulate-loading", "--scenario", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("line,key", [
+    ("sim.t_end_s = inf", "sim.t_end_s"),
+    ("mot.atom_number = inf", "mot.atom_number"),
+    ("noise.sigma_rel = inf", "noise.sigma_rel"),
+    ("mt.temperature_uK = nan", "mt.temperature_uK"),
+    ("figure4.lightshift = 3.0, nan, 9.0", "figure4.lightshift"),
+])
+def test_non_finite_scenario_value_is_config_error(tmp_path, capsys, line,
+                                                   key):
+    cfg = tmp_path / "non_finite.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main(["simulate-loading", "--scenario", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "finite" in err
 
 
 def test_negative_seed_is_config_error(capsys):
@@ -224,3 +241,30 @@ def test_rerun_of_embedded_scenario_is_identical(tmp_path, small_scenario):
         tmp_path, ["figure3", "--scenario", str(embedded)], "rerun.csv")
     assert code == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter that imports this mtload."""
+    import mtload
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtload.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_version_matches_output_header(capsys):
+    import mtload
+
+    assert main(["simulate-loading"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header == f"# mtload-version = {mtload.__version__}"
+
+
+def test_import_loads_no_scipy():
+    loaded = _fresh_python(
+        "import sys, mtload; print(sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')))")
+    assert loaded.strip() == "[]"

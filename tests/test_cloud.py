@@ -11,10 +11,19 @@ from mtload.cloud import VIRIAL_TRANSFER_PREFACTOR
 from mtload.constants import G_ACCEL, MU_B
 
 
-def closed_form_volume(shape_b, shape_g):
-    # independent analytic result, verified against brute-force 3-D
-    # quadrature of the raw profile
-    return 4.0 * math.pi * shape_b / (shape_b ** 2 - shape_g ** 2) ** 2
+def radial_quadrature_volume(shape_b, shape_g):
+    # independent numerical oracle: the radial integral
+    # V = 2 pi int_0^inf r^2 e^{-B r} sinh(G r)/(G r) dr by adaptive
+    # quadrature in u = B r, overflow-safe as G -> B
+    ratio = shape_g / shape_b
+
+    def integrand(u):
+        return (-u * math.exp(-(1.0 - ratio) * u)
+                * math.expm1(-2.0 * ratio * u) / (2.0 * ratio))
+
+    val, _ = integrate.quad(integrand, 0.0, math.inf, epsabs=0.0,
+                            epsrel=1e-11, limit=200)
+    return 2.0 * math.pi * val / shape_b ** 3
 
 
 # ---------------------------------------------------------------- shape
@@ -108,10 +117,11 @@ def test_volume_matches_analytic_at_zero_sag(b_shape):
 
 @pytest.mark.parametrize("b_shape,g_shape", [
     (2000.0, 612.0), (1000.0, 800.0), (5000.0, 100.0), (800.0, 790.0),
+    (1000.0, 999.0),
 ])
 def test_volume_matches_closed_form_with_sag(b_shape, g_shape):
     assert effective_volume(b_shape, g_shape) == pytest.approx(
-        closed_form_volume(b_shape, g_shape), rel=1e-6)
+        radial_quadrature_volume(b_shape, g_shape), rel=1e-9)
 
 
 def test_volume_monotone_in_sag():

@@ -1,11 +1,34 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
+from scipy import integrate
 
 from mtload import (cross_section_from_beta, excited_mot_density,
                     mean_collision_velocity, mot_on_decay_rate,
                     overlap_correction)
-from mtload.collisions import CollisionInput
+
+
+def nested_quadrature_overlap(q):
+    # independent numerical oracle: E[exp(-sqrt(rho^2 + 4 z^2))] for an
+    # isotropic Gaussian of radius q, by adaptive 2-D quadrature over
+    # (rho, z) out to 12 q
+    norm = 1.0 / (q * q * math.sqrt(2.0 * math.pi * q * q))
+
+    def integrand(z, rho):
+        gauss = (norm * rho * math.exp(-rho * rho / (2.0 * q * q))
+                 * math.exp(-z * z / (2.0 * q * q)))
+        return gauss * math.exp(-math.sqrt(rho * rho + 4.0 * z * z))
+
+    span = 12.0 * q
+    with warnings.catch_warnings():
+        # the oracle's own roundoff warnings do not concern the library
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        val, _ = integrate.dblquad(integrand, 0.0, span,
+                                   lambda rho: -span, lambda rho: span,
+                                   epsabs=1e-12, epsrel=1e-10)
+    return val
 
 
 def test_velocity_reference_value(cr):
@@ -56,6 +79,16 @@ def test_overlap_reference_value():
     assert 0.5 <= f <= 0.8
 
 
+@pytest.mark.parametrize(
+    "q", np.concatenate([np.geomspace(1e-3, 1.0, 10), [0.2741]]).tolist())
+def test_overlap_matches_nested_quadrature(q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = overlap_correction(q)
+    assert type(f) is float
+    assert f == pytest.approx(nested_quadrature_overlap(q), rel=1e-9)
+
+
 def test_overlap_monotone_decreasing():
     ratios = (0.02, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0)
     values = [overlap_correction(r) for r in ratios]
@@ -98,12 +131,3 @@ def test_loss_rate_composition_linearity(cr):
     s1 = gamma(1.1e7, 1e-15) - gamma(1.0e7, 1e-15)
     s2 = gamma(5.1e7, 1e-15) - gamma(5.0e7, 1e-15)
     assert s1 == pytest.approx(s2, rel=1e-9)
-
-
-def test_collision_input_validation():
-    CollisionInput(t_mot=300e-6, t_mt=100e-6, sigma_ed=1e-15, sigma_dd=1e-16)
-    with pytest.raises(ValueError):
-        CollisionInput(t_mot=0.0, t_mt=100e-6, sigma_ed=1e-15, sigma_dd=0.0)
-    with pytest.raises(ValueError):
-        CollisionInput(t_mot=300e-6, t_mt=100e-6, sigma_ed=-1e-15,
-                       sigma_dd=0.0)

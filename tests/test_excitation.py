@@ -1,6 +1,6 @@
 import pytest
 
-from mtload import (LightField, TransferModel, efficiency_from_rate,
+from mtload import (LightField, efficiency_from_rate,
                     excitation_probability, transfer_rate)
 
 
@@ -93,11 +93,3 @@ def test_light_field_validation():
         LightField(single_beam_intensity=-1.0)
     with pytest.raises(ValueError):
         LightField(single_beam_intensity=1.0, beam_count=0)
-
-
-def test_transfer_model_ranges():
-    TransferModel(efficiency=0.32, excitation_probability=0.35)
-    with pytest.raises(ValueError):
-        TransferModel(efficiency=1.2, excitation_probability=0.3)
-    with pytest.raises(ValueError):
-        TransferModel(efficiency=0.3, excitation_probability=0.6)

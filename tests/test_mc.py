@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mtload import (MotCloud, Particle, PumpingDistribution, QuadrupoleField,
-                    equilibrium_temperature, predict_mt_temperature,
-                    sample_mot_atom, sample_mot_atoms,
-                    sample_zeeman_substates, simulate_transfer,
-                    transfer_energy_audit)
+from mtload import (Ensemble, MotCloud, PumpingDistribution,
+                    QuadrupoleField, predict_mt_temperature,
+                    sample_mot_atoms, sample_zeeman_substates,
+                    simulate_transfer)
 from mtload.constants import K_B, MU_B
-from mtload.mc import Ensemble, seed_stream
+from mtload.mc import ensemble_energies, seed_stream
 
 
 def mot(sigma=200e-6, t=300e-6):
@@ -50,11 +49,6 @@ def test_sampler_bit_reproducible(cr):
     assert np.array_equal(a.velocities, b.velocities)
 
 
-def test_single_atom_sampler(cr):
-    p = sample_mot_atom(mot(), cr, seed_stream(15, "one"))
-    assert p.position.shape == (3,) and p.velocity.shape == (3,)
-
-
 # -------------------------------------------------------------- pumping
 
 
@@ -64,8 +58,6 @@ def test_point_distribution_always_hits():
     assert np.all(draws == 4)
     assert dist.trapped_fraction == 1.0
     assert dist.mean_m == 4.0
-    from mtload import sample_zeeman_substate
-    assert sample_zeeman_substate(dist, seed_stream(16, "pt1")) == 4
 
 
 def test_uniform_distribution_trapped_fraction():
@@ -100,74 +92,80 @@ def test_distribution_validation():
 # ------------------------------------------------------------ energetics
 
 
+def one_atom(position, velocity=(0.0, 0.0, 0.0), m=4):
+    return Ensemble(np.array([position], dtype=float),
+                    np.array([velocity], dtype=float), np.array([m]))
+
+
 def test_audit_at_origin(cr, field):
-    p = Particle(position=np.zeros(3), velocity=np.array([0.1, 0.0, 0.0]),
-                 zeeman_m=4)
-    kinetic, potential = transfer_energy_audit(p, field, cr)
-    assert potential == 0.0
-    assert kinetic == pytest.approx(0.5 * cr.mass * 0.01, rel=1e-12)
+    kinetic, potential = ensemble_energies(
+        one_atom((0.0, 0.0, 0.0), (0.1, 0.0, 0.0)), field, cr)
+    assert potential[0] == 0.0
+    assert kinetic[0] == pytest.approx(0.5 * cr.mass * 0.01, rel=1e-12)
 
 
 def test_audit_reference_value(cr):
     # g_d m_d = 6, b = 0.2 T/m, |r| = 100 um
-    p = Particle(position=np.array([1e-4, 0.0, 0.0]),
-                 velocity=np.zeros(3), zeeman_m=4)
-    _, potential = transfer_energy_audit(p, QuadrupoleField(0.2), cr)
-    assert potential == pytest.approx(6 * MU_B * 0.2 * 1e-4, rel=1e-12)
-    assert potential == pytest.approx(1.11e-27, rel=5e-3)
+    _, potential = ensemble_energies(one_atom((1e-4, 0.0, 0.0)),
+                                     QuadrupoleField(0.2), cr)
+    assert potential[0] == pytest.approx(6 * MU_B * 0.2 * 1e-4, rel=1e-12)
+    assert potential[0] == pytest.approx(1.11e-27, rel=5e-3)
 
 
-def test_audit_linearity(cr, field):
+def test_audit_linearity(cr):
     def pot(r, m, grad):
-        p = Particle(position=np.array([r, 0.0, 0.0]),
-                     velocity=np.zeros(3), zeeman_m=m)
-        return transfer_energy_audit(p, QuadrupoleField(grad), cr)[1]
+        return ensemble_energies(one_atom((r, 0.0, 0.0), m=m),
+                                 QuadrupoleField(grad), cr)[1][0]
 
     base = pot(1e-4, 2, 0.1)
     assert pot(2e-4, 2, 0.1) == pytest.approx(2 * base, rel=1e-12)
     assert pot(1e-4, 4, 0.1) == pytest.approx(2 * base, rel=1e-12)
     assert pot(1e-4, 2, 0.2) == pytest.approx(2 * base, rel=1e-12)
+    # isotropic |r| convention: the coil axis is not weighted
+    assert ensemble_energies(one_atom((0.0, 0.0, 1e-4), m=2),
+                             QuadrupoleField(0.1), cr)[1][0] == \
+        pytest.approx(base, rel=1e-12)
 
 
 def test_audit_rejects_untrapped(cr, field):
-    p = Particle(position=np.zeros(3), velocity=np.zeros(3), zeeman_m=-1)
     with pytest.raises(ValueError):
-        transfer_energy_audit(p, field, cr)
-    p_unset = Particle(position=np.zeros(3), velocity=np.zeros(3))
+        ensemble_energies(one_atom((0.0, 0.0, 0.0), m=-1), field, cr)
+    unset = Ensemble(np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        transfer_energy_audit(p_unset, field, cr)
+        ensemble_energies(unset, field, cr)
 
 
 # -------------------------------------------------- virial equilibrium
 
 
 def test_point_transfer_recovers_third_of_reservoir_temperature(cr, field):
-    rng = seed_stream(19, "third")
-    ens = sample_mot_atoms(mot(sigma=0.0), cr, 200_000, rng)
-    ens.zeeman_m = np.full(len(ens), 4)
-    t_pred = equilibrium_temperature(ens, field, cr)
-    assert t_pred == pytest.approx(100e-6, rel=0.01)
+    report = simulate_transfer(mot(sigma=0.0), PumpingDistribution.point(4),
+                               field, cr, 200_000, seed_stream(19, "third"))
+    assert report.temperature_mc == pytest.approx(100e-6, rel=0.01)
 
 
 def test_energy_scaling_linearity(cr, field):
     rng = seed_stream(20, "scale")
     ens = sample_mot_atoms(mot(), cr, 20_000, rng)
     ens.zeeman_m = np.full(len(ens), 4)
-    t1 = equilibrium_temperature(ens, field, cr)
+    total = sum(ensemble_energies(ens, field, cr))
     doubled = Ensemble(ens.positions * 2, ens.velocities * math.sqrt(2),
                        ens.zeeman_m)
-    t2 = equilibrium_temperature(doubled, field, cr)
-    assert t2 == pytest.approx(2 * t1, rel=1e-12)
+    total2 = sum(ensemble_energies(doubled, field, cr))
+    np.testing.assert_allclose(total2, 2 * total, rtol=1e-12)
 
 
 def test_equilibrium_rejects_bad_ensembles(cr, field):
     ens = Ensemble(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0, int))
     with pytest.raises(ValueError):
-        equilibrium_temperature(ens, field, cr)
+        ensemble_energies(ens, field, cr)
     mixed = Ensemble(np.zeros((2, 3)), np.zeros((2, 3)),
                      np.array([4, -1]))
     with pytest.raises(ValueError):
-        equilibrium_temperature(mixed, field, cr)
+        ensemble_energies(mixed, field, cr)
+    with pytest.raises(ValueError):
+        simulate_transfer(mot(), PumpingDistribution.point(-2), field, cr,
+                          1_000, seed_stream(26, "none"))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 100e-6, 200e-6])
@@ -207,12 +205,3 @@ def test_transfer_deterministic(cr, field):
     b = simulate_transfer(mot(), PumpingDistribution.point(4), field, cr,
                           10_000, seed_stream(24, "det"))
     assert a == b
-
-
-def test_anisotropic_potential_flag_changes_energy(cr, field):
-    rng = seed_stream(25, "aniso")
-    ens = sample_mot_atoms(mot(), cr, 10_000, rng)
-    ens.zeeman_m = np.full(len(ens), 4)
-    t_iso = equilibrium_temperature(ens, field, cr)
-    t_aniso = equilibrium_temperature(ens, field, cr, anisotropic=True)
-    assert t_iso != t_aniso
