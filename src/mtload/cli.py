@@ -10,6 +10,8 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure
 
 import argparse
 import math
+import os
+import stat
 import sys
 
 from . import pipelines
@@ -125,9 +127,21 @@ def _write_output(table: ResultTable, out_path: str | None) -> None:
     text = table.to_csv()
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return
+    data = text.encode("utf-8")
+    # Rewrite in place, then cut the file to the new length. Opening with
+    # O_TRUNC instead waits for the old contents still being written back:
+    # on ext4 mounted with discard, rewriting the same small output every
+    # few seconds blocked 50-90 ms in open() against under 0.2 ms without
+    # O_TRUNC, and a temp file plus os.replace was as slow. Symlinks, hard
+    # links, the file mode and non-regular targets (pipes, os.devnull)
+    # behave as with open(path, "w").
+    fd = os.open(out_path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
 
 
 def run(argv=None) -> int:

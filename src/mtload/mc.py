@@ -99,7 +99,8 @@ def sample_mot_atoms(mot: MotCloud, species: SpeciesData, count: int,
     temperature."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    positions = rng.normal(0.0, 1.0, size=(count, 3)) * mot.size_sigma
+    positions = rng.normal(0.0, 1.0, size=(count, 3))
+    positions *= mot.size_sigma
     v_th = math.sqrt(K_B * mot.temperature / species.mass)
     velocities = rng.normal(0.0, v_th, size=(count, 3))
     return Ensemble(positions=positions, velocities=velocities)
@@ -112,6 +113,21 @@ def sample_zeeman_substates(dist: PumpingDistribution, count: int,
         raise ValueError("count must be >= 1")
     return rng.choice(np.array(ZEEMAN_M_VALUES), size=count,
                       p=np.asarray(dist.probabilities))
+
+
+def _squared_norms(vectors: np.ndarray) -> np.ndarray:
+    """Per-row |a|^2 of an (n, 3) array, without an (n, 3) temporary."""
+    return np.einsum("ij,ij->i", vectors, vectors)
+
+
+def _energies(speed_sq: np.ndarray, radius: np.ndarray, zeeman_m: np.ndarray,
+              field: QuadrupoleField,
+              species: SpeciesData) -> tuple[np.ndarray, np.ndarray]:
+    """Per-atom (kinetic, potential) from |v|^2, |r| and the substate."""
+    kinetic = 0.5 * species.mass * speed_sq
+    mu = species.lande_g_d * zeeman_m * MU_B
+    potential = mu * field.gradient * radius
+    return kinetic, potential
 
 
 def ensemble_energies(ensemble: Ensemble, field: QuadrupoleField,
@@ -128,11 +144,9 @@ def ensemble_energies(ensemble: Ensemble, field: QuadrupoleField,
         raise ValueError("empty ensemble")
     if np.any(ensemble.zeeman_m <= 0):
         raise ValueError("ensemble contains untrapped (m <= 0) atoms")
-    kinetic = 0.5 * species.mass * np.sum(ensemble.velocities ** 2, axis=1)
-    mu = species.lande_g_d * ensemble.zeeman_m * MU_B
-    radius = np.linalg.norm(ensemble.positions, axis=1)
-    potential = mu * field.gradient * radius
-    return kinetic, potential
+    radius = np.sqrt(_squared_norms(ensemble.positions))
+    return _energies(_squared_norms(ensemble.velocities), radius,
+                     ensemble.zeeman_m, field, species)
 
 
 @dataclass(frozen=True)
@@ -156,28 +170,42 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
                       field: QuadrupoleField, species: SpeciesData,
                       count: int, rng: np.random.Generator) -> TransferReport:
     """Run one transfer simulation with the supplied generator (derive it
-    from a named seed stream for reproducibility): sample, pump, keep the
-    low-field seekers, audit energies."""
+    from a named seed stream for reproducibility).
+
+    The draws are those of ``sample_mot_atoms`` followed by
+    ``sample_zeeman_substates``, in that order, so the generator ends in
+    the same state as after calling the two directly. The energy audit is
+    one pass over the draws: each (n, 3) array is reduced once to a
+    per-atom |v|^2 or |r|, only those per-atom arrays are cut down to the
+    low-field seekers (m > 0), and the one radius array serves both the
+    potential energy and the mean-radius statistics.
+    """
     ensemble = sample_mot_atoms(mot, species, count, rng)
-    ensemble.zeeman_m = sample_zeeman_substates(dist, count, rng)
-    trapped = ensemble.trapped()
-    if len(trapped) == 0:
+    zeeman_m = sample_zeeman_substates(dist, count, rng)
+    speed_sq = _squared_norms(ensemble.velocities)
+    radius = _squared_norms(ensemble.positions)
+    np.sqrt(radius, out=radius)
+    keep = zeeman_m > 0
+    if not keep.all():
+        speed_sq, radius, zeeman_m = (speed_sq[keep], radius[keep],
+                                      zeeman_m[keep])
+    n = len(zeeman_m)
+    if n == 0:
         raise ValueError("no trapped atoms: pumping distribution has no "
                          "m > 0 weight or count too small")
-    kinetic, potential = ensemble_energies(trapped, field, species)
+    kinetic, potential = _energies(speed_sq, radius, zeeman_m, field,
+                                   species)
     total = kinetic + potential
-    n = len(trapped)
     t_mc = 2.0 * float(total.mean()) / (9.0 * K_B)
     t_err = (2.0 * float(total.std(ddof=1)) / (9.0 * K_B * math.sqrt(n))
              if n > 1 else 0.0)
-    radii = np.linalg.norm(trapped.positions, axis=1)
     return TransferReport(
         particles=count,
         trapped=n,
         temperature_mc=t_mc,
         temperature_stderr=t_err,
-        mean_radius=float(radii.mean()),
+        mean_radius=float(radius.mean()),
         mean_radius_expected=math.sqrt(8.0 / math.pi) * mot.size_sigma,
-        mean_radius_stderr=(float(radii.std(ddof=1)) / math.sqrt(n)
+        mean_radius_stderr=(float(radius.std(ddof=1)) / math.sqrt(n)
                             if n > 1 else 0.0),
     )

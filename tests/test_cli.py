@@ -113,6 +113,56 @@ def test_io_error_on_unwritable_output(tmp_path, small_scenario):
                  "--out", str(tmp_path / "missing-dir" / "x.csv")]) == 4
 
 
+def fresh_output(tmp_path, small_scenario):
+    code, out = run_to_file(
+        tmp_path, ["simulate-loading", "--scenario", small_scenario],
+        "fresh.csv")
+    assert code == 0
+    return out.read_bytes()
+
+
+def test_longer_existing_output_is_cut_to_new_bytes(tmp_path,
+                                                   small_scenario):
+    expected = fresh_output(tmp_path, small_scenario)
+    out = tmp_path / "old.csv"
+    out.write_bytes(b"stale,row\n" * (len(expected) // 5))
+    out.chmod(0o600)
+    code, _ = run_to_file(
+        tmp_path, ["simulate-loading", "--scenario", small_scenario],
+        "old.csv")
+    assert code == 0
+    assert out.read_bytes() == expected
+    assert out.stat().st_mode & 0o777 == 0o600
+
+
+def test_symlinked_output_updates_its_target(tmp_path, small_scenario):
+    expected = fresh_output(tmp_path, small_scenario)
+    target = tmp_path / "target.csv"
+    target.write_bytes(b"x" * (2 * len(expected)))
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, _ = run_to_file(
+        tmp_path, ["simulate-loading", "--scenario", small_scenario],
+        "link.csv")
+    assert code == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+
+def test_output_to_devnull(small_scenario):
+    assert main(["simulate-loading", "--scenario", small_scenario,
+                 "--out", os.devnull]) == 0
+
+
+def test_rerun_into_same_path_is_identical(tmp_path, small_scenario):
+    args = ["figure4", "--scenario", small_scenario, "--seed", "5"]
+    code1, out = run_to_file(tmp_path, args)
+    first = out.read_bytes()
+    code2, _ = run_to_file(tmp_path, args)
+    assert code1 == 0 and code2 == 0
+    assert out.read_bytes() == first
+
+
 def test_fit_loading_curve_round_trip(tmp_path, small_scenario):
     _, data = run_to_file(
         tmp_path, ["simulate-loading", "--scenario", small_scenario],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtload import (Ensemble, MotCloud, PumpingDistribution,
                     QuadrupoleField, predict_mt_temperature,
@@ -205,3 +207,96 @@ def test_transfer_deterministic(cr, field):
     b = simulate_transfer(mot(), PumpingDistribution.point(4), field, cr,
                           10_000, seed_stream(24, "det"))
     assert a == b
+
+
+# ------------------------------------------- one-pass path vs the oracle
+
+
+UPPER = PumpingDistribution((0, 0, 0, 0, 0, 0.1, 0.2, 0.3, 0.4))
+
+
+def oracle_transfer(cloud, dist, fld, species, count, rng):
+    # the ensemble path written out: sample, pump, copy the trapped
+    # sub-ensemble, audit its energies, take the radii again
+    ensemble = sample_mot_atoms(cloud, species, count, rng)
+    ensemble.zeeman_m = sample_zeeman_substates(dist, count, rng)
+    trapped = ensemble.trapped()
+    if len(trapped) == 0:
+        raise ValueError("no trapped atoms")
+    kinetic, potential = ensemble_energies(trapped, fld, species)
+    total = kinetic + potential
+    n = len(trapped)
+    radii = np.linalg.norm(trapped.positions, axis=1)
+    return {
+        "particles": count,
+        "trapped": n,
+        "temperature_mc": 2.0 * total.mean() / (9.0 * K_B),
+        "temperature_stderr": (2.0 * total.std(ddof=1)
+                               / (9.0 * K_B * math.sqrt(n)) if n > 1
+                               else 0.0),
+        "mean_radius": radii.mean(),
+        "mean_radius_expected": math.sqrt(8.0 / math.pi) * cloud.size_sigma,
+        "mean_radius_stderr": (radii.std(ddof=1) / math.sqrt(n) if n > 1
+                               else 0.0),
+    }
+
+
+def assert_matches_oracle(cloud, dist, fld, species, count, seed):
+    rng, oracle_rng = seed_stream(seed, "oracle"), seed_stream(seed, "oracle")
+    try:
+        expected = oracle_transfer(cloud, dist, fld, species, count,
+                                   oracle_rng)
+    except ValueError:
+        with pytest.raises(ValueError, match="no trapped atoms"):
+            simulate_transfer(cloud, dist, fld, species, count, rng)
+    else:
+        report = simulate_transfer(cloud, dist, fld, species, count, rng)
+        assert report.particles == expected.pop("particles")
+        assert report.trapped == expected.pop("trapped")
+        for name, value in expected.items():
+            assert getattr(report, name) == pytest.approx(
+                value, rel=1e-12, abs=0.0), name
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.point(1), PumpingDistribution.point(2),
+    PumpingDistribution.point(3), PumpingDistribution.point(4),
+    PumpingDistribution.uniform(), UPPER,
+], ids=["m1", "m2", "m3", "m4", "uniform", "upper"])
+@pytest.mark.parametrize("sigma", [0.0, 200e-6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
+    assert_matches_oracle(mot(sigma=sigma), dist, field, cr, 20_000, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sigma=st.just(0.0) | st.floats(1e-6, 1e-3),
+    temperature=st.floats(1e-6, 1e-3),
+    gradient=st.floats(0.01, 1.0),
+    probabilities=st.lists(st.integers(0, 4), min_size=9, max_size=9)
+    .filter(any),
+    count=st.integers(1, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sigma=0.0, temperature=1e-4, gradient=0.1,
+         probabilities=[0, 1, 2, 3, 4, 0, 0, 0, 0], count=100, seed=0)
+@example(sigma=0.0, temperature=1e-4, gradient=0.1,
+         probabilities=[1, 0, 0, 0, 0, 0, 0, 0, 1], count=1, seed=0)
+def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
+                                          probabilities, count, seed):
+    weights = np.array(probabilities, dtype=float)
+    dist = PumpingDistribution(tuple(weights / weights.sum()))
+    assert_matches_oracle(mot(sigma=sigma, t=temperature), dist,
+                          QuadrupoleField(gradient), cr, count, seed)
+
+
+@given(count=st.integers(-3, 0))
+def test_transfer_rejects_count_below_one(cr, count):
+    rng = seed_stream(27, "count")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="count"):
+        simulate_transfer(mot(), PumpingDistribution.point(4),
+                          QuadrupoleField(0.1), cr, count, rng)
+    assert rng.bit_generator.state == state
