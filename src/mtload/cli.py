@@ -5,7 +5,8 @@ fit, mc-transfer. Global flags: --scenario <path>, --seed <u64>,
 --out <path> (default stdout), --format csv.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(integration or fit), 4 I/O error.
+(integration, fit, or a non-finite value in the output table), 4 I/O
+error.
 """
 
 import argparse
@@ -123,6 +124,20 @@ def _run_fit(args, scenario) -> ResultTable:
     return _fit_result_table(result, scenario, scenario.seed)
 
 
+def _require_finite(table: ResultTable, fit: bool) -> None:
+    """Refuse a table that holds a non-finite number, before anything is
+    written. A fit table's stderr may be NaN: a derived value without an
+    uncertainty carries one by design. Infinities are refused everywhere."""
+    for index, row in enumerate(table.rows, start=1):
+        for (name, _), value in zip(table.columns, row):
+            if isinstance(value, str) or math.isfinite(value):
+                continue
+            if fit and name == "stderr" and math.isnan(value):
+                continue
+            raise ValueError(f"non-finite {name} = {value!r} in data row "
+                             f"{index}; output not written")
+
+
 def _write_output(table: ResultTable, out_path: str | None) -> None:
     text = table.to_csv()
     if out_path is None:
@@ -162,6 +177,7 @@ def run(argv=None) -> int:
         table = pipelines.mc_transfer(scenario)
     else:  # fit
         table = _run_fit(args, scenario)
+    _require_finite(table, fit=args.command == "fit")
     _write_output(table, args.out)
     return EXIT_OK
 

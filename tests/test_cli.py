@@ -5,9 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from mtload import cli, pipelines
 from mtload.cli import main
 from mtload.estimation import image_to_table, render_density_image
-from mtload.tables import parse_csv
+from mtload.leastsq import FitResult
+from mtload.tables import ResultTable, parse_csv
 
 SMALL = "mc.particles = 20000\nsim.samples = 25\ndecay.samples = 41\n"
 
@@ -163,6 +165,43 @@ def test_rerun_into_same_path_is_identical(tmp_path, small_scenario):
     assert out.read_bytes() == first
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_is_refused_and_out_untouched(tmp_path, monkeypatch,
+                                                     capsys, bad):
+    def mc_transfer(sc):
+        return ResultTable(columns=[("T_MT_mc", "K"), ("rel_diff", "1")],
+                           rows=[(1e-4, 0.01), (2e-4, bad)])
+
+    monkeypatch.setattr(pipelines, "mc_transfer", mc_transfer)
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"previous,output\n")
+    assert main(["mc-transfer", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "numeric failure" in captured.err
+    assert "rel_diff" in captured.err and "row 2" in captured.err
+    assert out.read_bytes() == b"previous,output\n"
+    assert main(["mc-transfer"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("stderr,code", [
+    (np.nan, 0), (np.inf, 3), (-np.inf, 3)])
+def test_fit_table_keeps_nan_stderr_and_refuses_inf(tmp_path, monkeypatch,
+                                                    stderr, code):
+    # a derived value without an uncertainty carries a NaN stderr
+    def run_fit(args, scenario):
+        result = FitResult(params={"slope": 2.0}, stderr={"slope": 0.1},
+                           residual_norm=0.0, converged=True, iterations=1,
+                           extras={"intercept": 1.0,
+                                   "intercept_stderr": stderr})
+        return cli._fit_result_table(result, scenario, scenario.seed)
+
+    monkeypatch.setattr(cli, "_run_fit", run_fit)
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "linear", "unused.csv", "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+
+
 def test_fit_loading_curve_round_trip(tmp_path, small_scenario):
     _, data = run_to_file(
         tmp_path, ["simulate-loading", "--scenario", small_scenario],
@@ -272,11 +311,22 @@ def test_fit_linear_from_figure3_output(tmp_path, small_scenario):
     assert slope == pytest.approx(1e-15, rel=1e-6)
 
 
+def _fresh_env():
+    """Environment for a new interpreter that imports this mtload."""
+    import mtload
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mtload.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 def test_console_entry_point_runs(small_scenario):
     proc = subprocess.run(
         [sys.executable, "-m", "mtload.cli", "mc-transfer",
          "--scenario", small_scenario, "--seed", "3"],
-        capture_output=True, text=True)
+        env=_fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("# mtload-version")
 
@@ -295,13 +345,7 @@ def test_rerun_of_embedded_scenario_is_identical(tmp_path, small_scenario):
 
 def _fresh_python(code):
     """Run ``code`` in a new interpreter that imports this mtload."""
-    import mtload
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(mtload.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-c", code], env=env,
+    return subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
                           capture_output=True, text=True, check=True).stdout
 
 

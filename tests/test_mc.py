@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from mtload import (Ensemble, MotCloud, PumpingDistribution,
                     QuadrupoleField, predict_mt_temperature,
                     sample_mot_atoms, sample_zeeman_substates,
                     simulate_transfer)
+from mtload import mc
 from mtload.constants import K_B, MU_B
-from mtload.mc import ensemble_energies, seed_stream
+from mtload.mc import ZEEMAN_M_VALUES, ensemble_energies, seed_stream
 
 
 def mot(sigma=200e-6, t=300e-6):
@@ -89,6 +92,53 @@ def test_distribution_validation():
         PumpingDistribution((-0.1, 0.1, 0.1, 0.1, 0.2, 0.2, 0.2, 0.1, 0.1))
     with pytest.raises(ValueError):
         PumpingDistribution.point(5)
+
+
+def assert_matches_choice(dist, count, seed):
+    # the uniforms-to-substates map against the generator's own
+    # categorical sampler: same values, same generator state
+    rng, choice_rng = seed_stream(seed, "cat"), seed_stream(seed, "cat")
+    expected = choice_rng.choice(np.array(ZEEMAN_M_VALUES), size=count,
+                                 p=np.asarray(dist.probabilities))
+    got = mc._substates_from_uniforms(mc._substate_cdf(dist),
+                                      rng.random(count),
+                                      np.empty(count, dtype=np.int8))
+    assert np.array_equal(got, expected)
+    assert rng.bit_generator.state == choice_rng.bit_generator.state
+    public = sample_zeeman_substates(dist, count, seed_stream(seed, "cat"))
+    assert np.array_equal(public, expected)
+    assert public.dtype == expected.dtype
+
+
+UPPER = PumpingDistribution((0, 0, 0, 0, 0, 0.1, 0.2, 0.3, 0.4))
+
+
+@pytest.mark.parametrize("dist", [
+    *(PumpingDistribution.point(m) for m in ZEEMAN_M_VALUES),
+    PumpingDistribution.uniform(), UPPER,
+], ids=[*(f"m{m}" for m in ZEEMAN_M_VALUES), "uniform", "upper"])
+def test_substates_match_generator_choice(dist):
+    assert_matches_choice(dist, 50_000, 31)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 5), min_size=9, max_size=9).filter(any),
+    low_zeros=st.integers(0, 8),
+    high_zeros=st.integers(0, 8),
+    count=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_substates_match_choice_property(weights, low_zeros, high_zeros,
+                                         count, seed):
+    # zero tails at either end make cdf entries exactly 0 or exactly 1
+    w = np.array(weights, dtype=float)
+    w[:low_zeros] = 0.0
+    w[9 - high_zeros:] = 0.0
+    if not w.any():
+        w[low_zeros % 9] = 1.0
+    assert_matches_choice(PumpingDistribution(tuple(w / w.sum())), count,
+                          seed)
 
 
 # ------------------------------------------------------------ energetics
@@ -209,10 +259,38 @@ def test_transfer_deterministic(cr, field):
     assert a == b
 
 
-# ------------------------------------------- one-pass path vs the oracle
+# ------------------------------------------- streamed path vs the oracle
 
 
-UPPER = PumpingDistribution((0, 0, 0, 0, 0, 0.1, 0.2, 0.3, 0.4))
+@pytest.mark.parametrize("chunk", [7, mc._CHUNK])
+@pytest.mark.parametrize("count", [1000, 2 * mc._CHUNK + 7])
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.uniform(), PumpingDistribution.point(4), UPPER,
+], ids=["uniform", "m4", "upper"])
+def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
+                                                      chunk):
+    # the same arithmetic on the full ensemble, in the same order, gives
+    # the same floats: ==, not a tolerance
+    rng = seed_stream(29, "bits")
+    ensemble = sample_mot_atoms(mot(), cr, count, rng)
+    ensemble.zeeman_m = sample_zeeman_substates(dist, count, rng)
+    trapped = ensemble.trapped()
+    total = sum(ensemble_energies(trapped, field, cr))
+    radius = np.sqrt(np.einsum("ij,ij->i", trapped.positions,
+                               trapped.positions))
+    n = len(trapped)
+    with mock.patch.object(mc, "_CHUNK", chunk):
+        streamed_rng = seed_stream(29, "bits")
+        report = simulate_transfer(mot(), dist, field, cr, count,
+                                   streamed_rng)
+    assert report.trapped == n
+    assert report.temperature_mc == 2.0 * float(total.mean()) / (9.0 * K_B)
+    assert report.temperature_stderr == (
+        2.0 * float(total.std(ddof=1)) / (9.0 * K_B * math.sqrt(n)))
+    assert report.mean_radius == float(radius.mean())
+    assert report.mean_radius_stderr == (float(radius.std(ddof=1))
+                                         / math.sqrt(n))
+    assert streamed_rng.bit_generator.state == rng.bit_generator.state
 
 
 def oracle_transfer(cloud, dist, fld, species, count, rng):
@@ -270,6 +348,15 @@ def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
     assert_matches_oracle(mot(sigma=sigma), dist, field, cr, 20_000, seed)
 
 
+@pytest.mark.parametrize("count", [
+    mc._CHUNK - 1, mc._CHUNK, mc._CHUNK + 1, 2 * mc._CHUNK + 7])
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.uniform(), PumpingDistribution.point(4),
+], ids=["uniform", "m4"])
+def test_transfer_matches_oracle_across_chunks(cr, field, dist, count):
+    assert_matches_oracle(mot(), dist, field, cr, count, 5)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     sigma=st.just(0.0) | st.floats(1e-6, 1e-3),
@@ -290,6 +377,30 @@ def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
     dist = PumpingDistribution(tuple(weights / weights.sum()))
     assert_matches_oracle(mot(sigma=sigma, t=temperature), dist,
                           QuadrupoleField(gradient), cr, count, seed)
+
+
+def test_transfer_matches_oracle_property_small_chunks(cr):
+    # the same property in blocks of 7 rows: many blocks per run, and
+    # blocks without a single trapped atom
+    with mock.patch.object(mc, "_CHUNK", 7):
+        test_transfer_matches_oracle_property(cr)
+
+
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.point(4), PumpingDistribution.uniform(),
+], ids=["m4", "uniform"])
+def test_transfer_peak_memory_per_particle(cr, field, dist):
+    # no (n, 3) array and no full-length substate array: two per-atom
+    # float arrays and the statistics' temporary, about 30 B per particle
+    count = 200_000
+    tracemalloc.start()
+    try:
+        simulate_transfer(mot(), dist, field, cr, count,
+                          seed_stream(28, "memory"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / count < 48
 
 
 @given(count=st.integers(-3, 0))
