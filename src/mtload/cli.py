@@ -4,9 +4,11 @@ Subcommands: simulate-loading, simulate-decay, figure2, figure3, figure4,
 fit, mc-transfer. Global flags: --scenario <path>, --seed <u64>,
 --out <path> (default stdout), --format csv.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(integration, fit, or a non-finite value in the output table), 4 I/O
-error.
+Exit codes: 0 success, 2 configuration or input-data error (a bad
+scenario, a missing column, a non-finite value, too few samples, a time
+axis that does not increase, degenerate data), 3 numeric failure
+(integration, fit convergence, an untrapped cloud, or a non-finite value
+in the output table), 4 I/O error.
 """
 
 import argparse
@@ -17,7 +19,8 @@ import sys
 
 from . import pipelines
 from .errors import (ConfigError, FitNotConvergedError, GravityAxisError,
-                     IntegrationError, MtloadError, UntrappedCloudError)
+                     InputDataError, IntegrationError, MtloadError,
+                     UntrappedCloudError)
 from .estimation import (SampleSeries, fit_density_image, fit_linear,
                          fit_loading_curve, fit_two_body_loss,
                          image_from_table)
@@ -185,6 +188,9 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
+    except InputDataError as exc:
+        print(f"mtload: input data error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"mtload: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

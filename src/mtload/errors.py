@@ -9,6 +9,13 @@ class ConfigError(MtloadError):
     """Invalid configuration input: unknown key, bad value, or unsupported unit."""
 
 
+class InputDataError(ConfigError, ValueError):
+    """Input data a fit or a data container cannot take: too few samples,
+    a time axis that does not increase, non-finite, degenerate or
+    malformed values.
+    The CLI exits 2 on it, as on any configuration error."""
+
+
 class UntrappedCloudError(MtloadError):
     """Gravity overwhelms the magnetic confinement; the thermal density
     profile is not normalizable and no finite volume exists."""

@@ -20,7 +20,7 @@ import numpy as np
 from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B, MU_B
 from .dynamics import RateModel, decay_density_at
-from .errors import GravityAxisError
+from .errors import GravityAxisError, InputDataError
 from .leastsq import FitResult, least_squares
 from .species import SpeciesData
 
@@ -39,18 +39,22 @@ class SampleSeries:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
-            raise ValueError("x and y must be 1-D arrays of equal length")
+            raise InputDataError(
+                "x and y must be 1-D arrays of equal length")
+        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+            raise InputDataError("x and y must be finite")
         if self.y_sigma is not None:
             sig = np.asarray(self.y_sigma, dtype=float)
             if sig.shape != self.x.shape:
-                raise ValueError("y_sigma must match x in length")
-            if np.any(sig <= 0):
-                raise ValueError("uncertainties must be positive")
+                raise InputDataError("y_sigma must match x in length")
+            if not np.all(sig > 0):
+                raise InputDataError("uncertainties must be positive")
             object.__setattr__(self, "y_sigma", sig)
 
     def require_time_axis(self):
         if not np.all(np.diff(self.x) > 0):
-            raise ValueError("time series requires strictly increasing x")
+            raise InputDataError(
+                "time series requires strictly increasing x")
 
 
 @dataclass(frozen=True)
@@ -71,15 +75,17 @@ class DensityImage:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 2:
-            raise ValueError("values must be a 2-D grid")
+            raise InputDataError("values must be a 2-D grid")
+        if not np.all(np.isfinite(self.values)):
+            raise InputDataError("values must be finite")
         if np.any(self.values < 0):
-            raise ValueError("values must be nonnegative")
-        if self.pitch <= 0:
-            raise ValueError("pitch must be positive")
+            raise InputDataError("values must be nonnegative")
+        if not 0 < self.pitch < math.inf:
+            raise InputDataError("pitch must be positive and finite")
         if (len(self.axes) != 2 or self.axes[0] == self.axes[1]
                 or any(a not in _AXIS_LABELS for a in self.axes)
                 or "y" not in self.axes):
-            raise ValueError(
+            raise InputDataError(
                 "axes must be two distinct labels from (x, y, z) including y"
             )
 
@@ -195,6 +201,9 @@ def image_from_table(parsed) -> tuple[DensityImage, str]:
     axes = tuple(a.strip() for a in meta["image-axes"].split(","))
     if len(axes) != 2:
         raise ConfigError("image-axes must name two axes")
+    if meta["image-mode"] not in ("projection", "slice"):
+        raise ConfigError(f"unknown image-mode {meta['image-mode']!r}: "
+                          "expected projection or slice")
     values = parsed.column("value")
     if values.size != shape[0] * shape[1]:
         raise ConfigError(
@@ -218,9 +227,10 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
     data.require_time_axis()
     t, y = data.x, data.y
     if len(t) < 5:
-        raise ValueError("need at least 5 samples to fit a loading curve")
+        raise InputDataError(
+            "need at least 5 samples to fit a loading curve")
     if np.allclose(y, y[0]):
-        raise ValueError("degenerate data: all samples equal")
+        raise InputDataError("degenerate data: all samples equal")
     n0_guess = float(np.max(y))
     target = (1.0 - 1.0 / math.e) * n0_guess
     above = np.nonzero(y >= target)[0]
@@ -248,9 +258,9 @@ def fit_linear(data: SampleSeries) -> FitResult:
     present. Closed form, no iteration."""
     x, y = data.x, data.y
     if len(x) < 3:
-        raise ValueError("need at least 3 points for a line fit")
+        raise InputDataError("need at least 3 points for a line fit")
     if np.all(x == x[0]):
-        raise ValueError("degenerate data: x has zero variance")
+        raise InputDataError("degenerate data: x has zero variance")
     w = np.ones_like(x) if data.y_sigma is None else 1.0 / data.y_sigma ** 2
     design = np.column_stack([x, np.ones_like(x)])
     wd = design * w[:, None]
@@ -280,7 +290,7 @@ def _image_initial_guess(image: DensityImage, mode: str):
     v = image.values
     total = float(v.sum())
     if total <= 0:
-        raise ValueError("degenerate image: all pixels zero")
+        raise InputDataError("degenerate image: all pixels zero")
     if mode == "projection" and image.line_of_sight == "x":
         radial = np.sqrt(y ** 2 + 4.0 * coords["z"] ** 2)
     else:
@@ -288,7 +298,7 @@ def _image_initial_guess(image: DensityImage, mode: str):
         radial = np.hypot(coords[other], y)
     r_mean = float((v * radial).sum() / total)
     if r_mean <= 0:
-        raise ValueError("degenerate image: no spatial extent")
+        raise InputDataError("degenerate image: no spatial extent")
     # intensity-weighted mean radius of the model: (3 pi/4)/B projected,
     # 2/B for the slice profile
     b0 = (3.0 * math.pi / 4.0) / r_mean if mode == "projection" else 2.0 / r_mean
@@ -387,12 +397,12 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     """
     density_series.require_time_axis()
     if t0 <= 0:
-        raise ValueError("t0 must be positive")
+        raise InputDataError("t0 must be positive")
     v0, alpha = fit_volume_growth(volume_series)
     t = density_series.x
     y = density_series.y
     if y[0] <= 0:
-        raise ValueError("first density sample must be positive")
+        raise InputDataError("first density sample must be positive")
     n_init = float(y[0])
 
     def fit_beta(t0_value: float) -> FitResult:

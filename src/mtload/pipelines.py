@@ -236,7 +236,7 @@ def figure3(sc: Scenario) -> tuple[ResultTable, FitResult]:
 def figure4(sc: Scenario) -> ResultTable:
     """Transfer-temperature sweep against the light-shift parameter: the
     configured linear reservoir-temperature law, the analytic prediction,
-    and the Monte Carlo check."""
+    and the Monte Carlo check with its statistical error."""
     species = sc.species()
     field = sc.field()
     mu_bar = sc.mu_bar(species)
@@ -256,10 +256,12 @@ def figure4(sc: Scenario) -> ResultTable:
                                    sc["mc.particles"],
                                    rng=seed_stream(sc.seed, label))
         notes.append(f"seed-stream {label}")
-        rows.append((shift, t_mot, t_th, report.temperature_mc))
+        rows.append((shift, t_mot, t_th, report.temperature_mc,
+                     report.temperature_stderr))
     return ResultTable(
         columns=[("lightshift", "I/Delta"), ("T_MOT", "K"),
-                 ("T_MT_th", "K"), ("T_MT_mc", "K")],
+                 ("T_MT_th", "K"), ("T_MT_mc", "K"),
+                 ("T_MT_mc_stderr", "K")],
         rows=rows,
         provenance=provenance_header(sc, sc.seed),
         notes=notes,

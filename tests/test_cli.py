@@ -299,6 +299,38 @@ def test_fit_missing_column_is_config_error(tmp_path):
     assert main(["fit", "loading-curve", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("fitter,text,message", [
+    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n2,8\n",
+     "need at least 5 samples"),
+    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n1,6\n2,8\n3,9\n4,9.5\n",
+     "strictly increasing"),
+    ("linear", "x(1),y(1)\n0,1\n1,3\n", "need at least 3 points"),
+    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n2,nan\n3,9\n4,9.5\n",
+     "must be finite"),
+])
+def test_fit_input_data_error_exit_code(tmp_path, capsys, fitter, text,
+                                        message):
+    # data the fitter cannot take is an input error (2), not a numeric
+    # failure (3)
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    out = tmp_path / "fit.csv"
+    assert main(["fit", fitter, str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input data error" in err and message in err
+    assert not out.exists()
+
+
+def test_fit_unknown_image_mode_is_config_error(tmp_path, capsys):
+    image = render_density_image(1e16, 5e3, 2e2, pitch=2e-5, shape=(8, 8))
+    text = image_to_table(image).to_csv()
+    data = tmp_path / "img.csv"
+    data.write_text(text.replace("image-mode = projection",
+                                 "image-mode = sideways"), encoding="utf-8")
+    assert main(["fit", "density-image", str(data)]) == 2
+    assert "sideways" in capsys.readouterr().err
+
+
 def test_fit_linear_from_figure3_output(tmp_path, small_scenario):
     _, data = run_to_file(
         tmp_path, ["figure3", "--scenario", small_scenario], "f3.csv")

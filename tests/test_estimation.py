@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from mtload import (DensityImage, GravityAxisError, QuadrupoleField,
-                    RateModel, fit_density_image, fit_linear,
+from mtload import (DensityImage, GravityAxisError, InputDataError,
+                    QuadrupoleField, RateModel, fit_density_image, fit_linear,
                     fit_loading_curve, fit_two_body_loss,
                     render_density_image, shape_params)
 from mtload.constants import G_ACCEL, K_B, MU_B
@@ -231,6 +231,22 @@ def test_image_validation():
         DensityImage(np.ones((4, 4)), pitch=1e-5, axes=("x", "z"))
     with pytest.raises(ValueError):
         DensityImage(-np.ones((4, 4)), pitch=1e-5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_data_is_input_error(bad):
+    with pytest.raises(InputDataError, match="finite"):
+        SampleSeries([0.0, 1.0, 2.0], [1.0, bad, 3.0])
+    with pytest.raises(InputDataError, match="finite"):
+        SampleSeries([0.0, bad, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(InputDataError, match="positive"):
+        SampleSeries([0.0, 1.0], [1.0, 2.0], [1.0, -abs(bad)])
+    values = np.ones((4, 4))
+    values[1, 2] = bad
+    with pytest.raises(InputDataError, match="finite"):
+        DensityImage(values, pitch=1e-5)
+    with pytest.raises(InputDataError, match="pitch"):
+        DensityImage(np.ones((4, 4)), pitch=abs(bad))
 
 
 def test_image_table_round_trip(cr):

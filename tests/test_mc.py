@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -411,3 +413,132 @@ def test_transfer_rejects_count_below_one(cr, count):
         simulate_transfer(mot(), PumpingDistribution.point(4),
                           QuadrupoleField(0.1), cr, count, rng)
     assert rng.bit_generator.state == state
+
+
+# ------------------------------------------------------- the worker thread
+
+
+def run_on_threads(*calls, timeout=60.0):
+    """Every call on its own daemon thread, all released at once: the
+    results in call order, or the first exception raised, or a test
+    failure instead of a hang if a call has not returned within
+    ``timeout``."""
+    results, errors = [None] * len(calls), []
+    start = threading.Barrier(len(calls))
+
+    def target(i):
+        start.wait()
+        try:
+            results[i] = calls[i]()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=target, args=(i,), daemon=True)
+               for i in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), "simulate_transfer did not return"
+    if errors:
+        raise errors[0]
+    return results
+
+
+class FailingGenerator:
+    """Draws from ``rng`` until the third ``standard_normal`` call, which
+    raises ``error``."""
+
+    def __init__(self, rng, error):
+        self.rng, self.error, self.calls = rng, error, 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        if self.calls == 3:
+            raise self.error
+        return self.rng.standard_normal(out=out)
+
+    def random(self, out):
+        return self.rng.random(out=out)
+
+
+def test_transfer_leaves_no_thread_behind(cr, field):
+    # called on this thread, so a worker still running at return shows
+    before = threading.active_count()
+    simulate_transfer(mot(), UPPER, field, cr, 3 * mc._CHUNK,
+                      seed_stream(40, "threads"))
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="no trapped atoms"):
+        simulate_transfer(mot(), PumpingDistribution.point(-2), field, cr,
+                          3 * mc._CHUNK, seed_stream(40, "threads"))
+    assert threading.active_count() == before
+
+
+def test_draw_failure_reaches_the_caller_unchanged(cr, field):
+    error = RuntimeError("generator failed")
+    rng = FailingGenerator(seed_stream(41, "fail"), error)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        run_on_threads(lambda: simulate_transfer(
+            mot(), PumpingDistribution.uniform(), field, cr, 3 * mc._CHUNK,
+            rng))
+    assert raised.value is error
+    assert rng.calls == 3
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("helper", ["_squared_norms", "_energies"])
+def test_worker_failure_reaches_the_caller_unchanged(cr, field, helper,
+                                                     monkeypatch):
+    # _squared_norms fails on the first position block, _energies on the
+    # first substate block, after every normal has been drawn
+    error = ArithmeticError(f"{helper} failed")
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(mc, helper, fail)
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError) as raised:
+        run_on_threads(lambda: simulate_transfer(
+            mot(), PumpingDistribution.uniform(), field, cr, 3 * mc._CHUNK,
+            seed_stream(42, "fail")))
+    assert raised.value is error
+    assert threading.active_count() == before
+
+
+def transfer_call(cr, fld, dist, count, seed):
+    def call():
+        rng = seed_stream(seed, "concurrent")
+        report = simulate_transfer(mot(), dist, fld, cr, count, rng)
+        return report, rng.bit_generator.state
+    return call
+
+
+def test_concurrent_transfers_match_serial_ones(cr, field):
+    # two calls on two threads, each with its own generator, share no
+    # buffer: the same reports and generator states as made one by one
+    calls = [transfer_call(cr, field, PumpingDistribution.uniform(),
+                           2 * mc._CHUNK + 7, 43),
+             transfer_call(cr, field, UPPER, 2 * mc._CHUNK + 7, 44)]
+    serial = [call() for call in calls]
+    assert run_on_threads(*calls) == serial
+
+
+def test_concurrent_transfers_under_stress(cr, field):
+    # more callers than cores, blocks of 7 rows (hundreds of hand-overs
+    # per call) and a short switch interval: a lost hand-over or a block
+    # reduced twice changes a report
+    calls = [transfer_call(cr, field, dist, 3000, 45 + i) for i, dist in
+             enumerate([PumpingDistribution.uniform(), UPPER,
+                        PumpingDistribution.point(4),
+                        PumpingDistribution.point(1)])]
+    interval = sys.getswitchinterval()
+    with mock.patch.object(mc, "_CHUNK", 7):
+        serial = [call() for call in calls]
+        sys.setswitchinterval(1e-5)
+        try:
+            concurrent = run_on_threads(*calls)
+        finally:
+            sys.setswitchinterval(interval)
+    assert concurrent == serial

@@ -119,6 +119,16 @@ def test_figure4_trap_colder_than_reservoir():
     np.testing.assert_allclose(t_mc, t_th, rtol=0.02)
 
 
+def test_figure4_reports_mc_stderr_last():
+    sc = parse_scenario("mc.particles = 20000")
+    parsed = parse_csv(figure4(sc).to_csv())
+    assert parsed.columns[-1] == ("T_MT_mc_stderr", "K")
+    stderr = parsed.column("T_MT_mc_stderr")
+    assert np.all(np.isfinite(stderr)) and np.all(stderr > 0)
+    # 2e4 atoms: the error of the mean is well under 1% of the mean
+    assert np.all(stderr < 0.01 * parsed.column("T_MT_mc"))
+
+
 def test_mc_transfer_report_row():
     sc = parse_scenario("mc.particles = 50000")
     parsed = parse_csv(mc_transfer(sc).to_csv())

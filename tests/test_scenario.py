@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtload import ConfigError
 from mtload.scenario import default_scenario, load_scenario, parse_scenario
@@ -133,3 +135,58 @@ def test_canonical_round_trip():
     sc = parse_scenario(SAMPLE)
     again = parse_scenario(sc.canonical_text())
     assert again.values == sc.values
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+FRACTION = st.floats(0.0, 1.0)
+
+
+def number_list(values):
+    return st.lists(values, min_size=1, max_size=5).map(tuple)
+
+
+# every float-valued key with the values its validation accepts
+FLOAT_OVERRIDES = {
+    "species.lande_g_d": POSITIVE,
+    "trap.gradient_G_per_cm": POSITIVE,
+    "mot.sigma_um": NONNEGATIVE,
+    "mot.temperature_uK": POSITIVE,
+    "mot.atom_number": POSITIVE,
+    "mt.temperature_uK": POSITIVE | st.just("virial"),
+    "transfer.efficiency": FRACTION,
+    "light.intensity_per_beam_sat": NONNEGATIVE,
+    "light.detuning_linewidths": FINITE,
+    "rates.background_lifetime_s": POSITIVE,
+    "rates.mot_on_background_rate_per_s": NONNEGATIVE,
+    "rates.two_body_m3_per_s": NONNEGATIVE,
+    "rates.volume_growth_per_s": NONNEGATIVE,
+    "rates.sigma_ed_m2": NONNEGATIVE,
+    "rates.overlap_factor": st.floats(0.0, 1.0, exclude_min=True),
+    "sim.t_end_s": POSITIVE,
+    "decay.initial_density_m3": POSITIVE,
+    "decay.t_end_s": POSITIVE,
+    "noise.sigma_rel": NONNEGATIVE,
+    "figure2.atom_numbers": number_list(POSITIVE),
+    "figure3.atom_numbers": number_list(POSITIVE),
+    "figure4.lightshift": number_list(NONNEGATIVE),
+    "figure4.tmot_offset_uK": POSITIVE,
+    "figure4.tmot_slope_uK": NONNEGATIVE,
+}
+
+
+def override_text(value):
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(overrides=st.fixed_dictionaries({}, optional=FLOAT_OVERRIDES))
+def test_canonical_text_round_trip_property(overrides):
+    sc = parse_scenario("".join(f"{key} = {override_text(value)}\n"
+                                for key, value in overrides.items()))
+    for key, value in overrides.items():
+        assert sc[key] == value, key
+    assert parse_scenario(sc.canonical_text()) == sc

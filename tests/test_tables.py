@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtload import ConfigError
 from mtload.scenario import parse_scenario
@@ -89,3 +93,24 @@ def test_format_number():
     assert format_number(0.1) == "0.1"
     assert format_number(3) == "3"
     assert format_number("x") == "x"
+
+
+MAX = sys.float_info.max
+TINY = 5e-324  # the smallest subnormal
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=st.integers(0, 6).flatmap(lambda width: st.lists(
+    st.tuples(*[st.floats(allow_nan=False)] * (width + 1)), max_size=8)))
+@example(rows=[(-0.0, 0.0, TINY, -TINY), (MAX, -MAX, 2.2250738585072009e-308,
+                                          0.1)])
+def test_csv_round_trips_every_float_bit_for_bit(rows):
+    width = len(rows[0]) if rows else 2
+    table = ResultTable(columns=[(f"c{i}", "1") for i in range(width)],
+                        rows=rows, notes=["a note = with an equals sign"])
+    parsed = parse_csv(table.to_csv())
+    assert parsed.columns == table.columns
+    assert parsed.notes == table.notes
+    sent = np.array(rows, dtype=float).reshape(len(rows), width)
+    assert parsed.data.shape == sent.shape
+    assert np.array_equal(parsed.data.view(np.int64), sent.view(np.int64))
