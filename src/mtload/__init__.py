@@ -20,8 +20,7 @@ from .estimation import (DensityImage, SampleSeries, fit_density_image,
 from .excitation import (LightField, efficiency_from_rate,
                          excitation_probability, transfer_rate)
 from .leastsq import FitResult, least_squares
-from .mc import (Ensemble, PumpingDistribution, TransferReport,
-                 sample_mot_atoms, sample_zeeman_substates, seed_stream,
+from .mc import (PumpingDistribution, TransferReport, seed_stream,
                  simulate_transfer)
 from .scenario import Scenario, default_scenario, load_scenario, parse_scenario
 from .species import SpeciesData, chromium52, unit_convert
@@ -43,8 +42,7 @@ __all__ = [
     "LightField", "efficiency_from_rate",
     "excitation_probability", "transfer_rate",
     "FitResult", "least_squares",
-    "Ensemble", "PumpingDistribution", "TransferReport",
-    "sample_mot_atoms", "sample_zeeman_substates", "seed_stream",
+    "PumpingDistribution", "TransferReport", "seed_stream",
     "simulate_transfer",
     "Scenario", "default_scenario", "load_scenario", "parse_scenario",
     "SpeciesData", "chromium52", "unit_convert",

@@ -285,7 +285,7 @@ def mc_transfer(sc: Scenario) -> ResultTable:
         report.particles, report.trapped, mot.temperature, mot.size_sigma,
         field.gradient, sc["transfer.mean_zeeman_m"], report.temperature_mc,
         report.temperature_stderr, t_th, rel, report.mean_radius,
-        report.mean_radius_expected,
+        report.mean_radius_expected, report.mean_radius_stderr,
     )]
     return ResultTable(
         columns=[
@@ -293,7 +293,7 @@ def mc_transfer(sc: Scenario) -> ResultTable:
             ("sigma", "m"), ("gradient", "T/m"), ("mean_zeeman_m", "1"),
             ("T_MT_mc", "K"), ("T_MT_mc_stderr", "K"), ("T_MT_th", "K"),
             ("rel_diff", "1"), ("mean_radius", "m"),
-            ("mean_radius_expected", "m"),
+            ("mean_radius_expected", "m"), ("mean_radius_stderr", "m"),
         ],
         rows=rows,
         provenance=provenance_header(sc, sc.seed),

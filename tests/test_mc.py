@@ -1,21 +1,20 @@
+import dataclasses
 import math
 import sys
 import threading
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mtload import (Ensemble, MotCloud, PumpingDistribution,
-                    QuadrupoleField, predict_mt_temperature,
-                    sample_mot_atoms, sample_zeeman_substates,
-                    simulate_transfer)
-from mtload import mc
+from mc_oracle import (Ensemble, ensemble_energies, oracle_transfer,
+                       sample_mot_atoms, sample_zeeman_substates)
+from mtload import (MotCloud, PumpingDistribution, QuadrupoleField,
+                    predict_mt_temperature, simulate_transfer)
 from mtload.constants import K_B, MU_B
-from mtload.mc import ZEEMAN_M_VALUES, ensemble_energies, seed_stream
+from mtload.mc import seed_stream
 
 
 def mot(sigma=200e-6, t=300e-6):
@@ -96,51 +95,14 @@ def test_distribution_validation():
         PumpingDistribution.point(5)
 
 
-def assert_matches_choice(dist, count, seed):
-    # the uniforms-to-substates map against the generator's own
-    # categorical sampler: same values, same generator state
-    rng, choice_rng = seed_stream(seed, "cat"), seed_stream(seed, "cat")
-    expected = choice_rng.choice(np.array(ZEEMAN_M_VALUES), size=count,
-                                 p=np.asarray(dist.probabilities))
-    got = mc._substates_from_uniforms(mc._substate_cdf(dist),
-                                      rng.random(count),
-                                      np.empty(count, dtype=np.int8))
-    assert np.array_equal(got, expected)
-    assert rng.bit_generator.state == choice_rng.bit_generator.state
-    public = sample_zeeman_substates(dist, count, seed_stream(seed, "cat"))
-    assert np.array_equal(public, expected)
-    assert public.dtype == expected.dtype
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_distribution_rejects_non_finite(bad):
+    # nan fails no comparison, so it must be refused by name
+    with pytest.raises(ValueError, match="must be finite"):
+        PumpingDistribution((bad, 0, 0, 0, 0, 0, 0, 0, 1.0))
 
 
 UPPER = PumpingDistribution((0, 0, 0, 0, 0, 0.1, 0.2, 0.3, 0.4))
-
-
-@pytest.mark.parametrize("dist", [
-    *(PumpingDistribution.point(m) for m in ZEEMAN_M_VALUES),
-    PumpingDistribution.uniform(), UPPER,
-], ids=[*(f"m{m}" for m in ZEEMAN_M_VALUES), "uniform", "upper"])
-def test_substates_match_generator_choice(dist):
-    assert_matches_choice(dist, 50_000, 31)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    weights=st.lists(st.integers(0, 5), min_size=9, max_size=9).filter(any),
-    low_zeros=st.integers(0, 8),
-    high_zeros=st.integers(0, 8),
-    count=st.integers(1, 3000),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_substates_match_choice_property(weights, low_zeros, high_zeros,
-                                         count, seed):
-    # zero tails at either end make cdf entries exactly 0 or exactly 1
-    w = np.array(weights, dtype=float)
-    w[:low_zeros] = 0.0
-    w[9 - high_zeros:] = 0.0
-    if not w.any():
-        w[low_zeros % 9] = 1.0
-    assert_matches_choice(PumpingDistribution(tuple(w / w.sum())), count,
-                          seed)
 
 
 # ------------------------------------------------------------ energetics
@@ -253,90 +215,19 @@ def test_transfer_uniform_pumping_trapped_fraction(cr, field):
     assert report.trapped_fraction == pytest.approx(4 / 9, abs=0.01)
 
 
+
+
 def test_transfer_deterministic(cr, field):
-    a = simulate_transfer(mot(), PumpingDistribution.point(4), field, cr,
-                          10_000, seed_stream(24, "det"))
-    b = simulate_transfer(mot(), PumpingDistribution.point(4), field, cr,
-                          10_000, seed_stream(24, "det"))
-    assert a == b
+    # an exact rerun: the same report and the same generator state
+    runs = []
+    for _ in range(2):
+        rng = seed_stream(24, "det")
+        report = simulate_transfer(mot(), UPPER, field, cr, 10_000, rng)
+        runs.append((report, rng.bit_generator.state))
+    assert runs[0] == runs[1]
 
 
-# ------------------------------------------- streamed path vs the oracle
-
-
-@pytest.mark.parametrize("chunk", [7, mc._CHUNK])
-@pytest.mark.parametrize("count", [1000, 2 * mc._CHUNK + 7])
-@pytest.mark.parametrize("dist", [
-    PumpingDistribution.uniform(), PumpingDistribution.point(4), UPPER,
-], ids=["uniform", "m4", "upper"])
-def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
-                                                      chunk):
-    # the same arithmetic on the full ensemble, in the same order, gives
-    # the same floats: ==, not a tolerance
-    rng = seed_stream(29, "bits")
-    ensemble = sample_mot_atoms(mot(), cr, count, rng)
-    ensemble.zeeman_m = sample_zeeman_substates(dist, count, rng)
-    trapped = ensemble.trapped()
-    total = sum(ensemble_energies(trapped, field, cr))
-    radius = np.sqrt(np.einsum("ij,ij->i", trapped.positions,
-                               trapped.positions))
-    n = len(trapped)
-    with mock.patch.object(mc, "_CHUNK", chunk):
-        streamed_rng = seed_stream(29, "bits")
-        report = simulate_transfer(mot(), dist, field, cr, count,
-                                   streamed_rng)
-    assert report.trapped == n
-    assert report.temperature_mc == 2.0 * float(total.mean()) / (9.0 * K_B)
-    assert report.temperature_stderr == (
-        2.0 * float(total.std(ddof=1)) / (9.0 * K_B * math.sqrt(n)))
-    assert report.mean_radius == float(radius.mean())
-    assert report.mean_radius_stderr == (float(radius.std(ddof=1))
-                                         / math.sqrt(n))
-    assert streamed_rng.bit_generator.state == rng.bit_generator.state
-
-
-def oracle_transfer(cloud, dist, fld, species, count, rng):
-    # the ensemble path written out: sample, pump, copy the trapped
-    # sub-ensemble, audit its energies, take the radii again
-    ensemble = sample_mot_atoms(cloud, species, count, rng)
-    ensemble.zeeman_m = sample_zeeman_substates(dist, count, rng)
-    trapped = ensemble.trapped()
-    if len(trapped) == 0:
-        raise ValueError("no trapped atoms")
-    kinetic, potential = ensemble_energies(trapped, fld, species)
-    total = kinetic + potential
-    n = len(trapped)
-    radii = np.linalg.norm(trapped.positions, axis=1)
-    return {
-        "particles": count,
-        "trapped": n,
-        "temperature_mc": 2.0 * total.mean() / (9.0 * K_B),
-        "temperature_stderr": (2.0 * total.std(ddof=1)
-                               / (9.0 * K_B * math.sqrt(n)) if n > 1
-                               else 0.0),
-        "mean_radius": radii.mean(),
-        "mean_radius_expected": math.sqrt(8.0 / math.pi) * cloud.size_sigma,
-        "mean_radius_stderr": (radii.std(ddof=1) / math.sqrt(n) if n > 1
-                               else 0.0),
-    }
-
-
-def assert_matches_oracle(cloud, dist, fld, species, count, seed):
-    rng, oracle_rng = seed_stream(seed, "oracle"), seed_stream(seed, "oracle")
-    try:
-        expected = oracle_transfer(cloud, dist, fld, species, count,
-                                   oracle_rng)
-    except ValueError:
-        with pytest.raises(ValueError, match="no trapped atoms"):
-            simulate_transfer(cloud, dist, fld, species, count, rng)
-    else:
-        report = simulate_transfer(cloud, dist, fld, species, count, rng)
-        assert report.particles == expected.pop("particles")
-        assert report.trapped == expected.pop("trapped")
-        for name, value in expected.items():
-            assert getattr(report, name) == pytest.approx(
-                value, rel=1e-12, abs=0.0), name
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+# ------------------------------------ sufficient statistics vs the oracle
 
 
 @pytest.mark.parametrize("dist", [
@@ -347,53 +238,89 @@ def assert_matches_oracle(cloud, dist, fld, species, count, seed):
 @pytest.mark.parametrize("sigma", [0.0, 200e-6])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
-    assert_matches_oracle(mot(sigma=sigma), dist, field, cr, 20_000, seed)
+    # other draws from the same distribution as the 3-D ensemble: each mean
+    # within 5 combined standard errors, each standard error within 2% of
+    # the oracle's (about 5 sigma of the scatter of a standard error at
+    # this count), and the trapped count within 5 binomial sigma
+    count = 400_000
+    cloud = mot(sigma=sigma)
+    report = simulate_transfer(cloud, dist, field, cr, count,
+                               seed_stream(seed, "oracle"))
+    expected = oracle_transfer(cloud, dist, field, cr, count,
+                               seed_stream(seed, "oracle"))
+    assert report.particles == count
+    trapped = min(dist.trapped_fraction, 1.0)
+    assert abs(report.trapped - count * trapped) <= 5 * math.sqrt(
+        count * trapped * (1.0 - trapped))
+    for mean, err in (("temperature_mc", "temperature_stderr"),
+                      ("mean_radius", "mean_radius_stderr")):
+        combined = math.hypot(getattr(report, err), expected[err])
+        assert abs(getattr(report, mean) - expected[mean]) <= 5 * combined
+        assert getattr(report, err) == pytest.approx(expected[err],
+                                                     rel=0.02), err
+    assert report.mean_radius_expected == expected["mean_radius_expected"]
 
 
-@pytest.mark.parametrize("count", [
-    mc._CHUNK - 1, mc._CHUNK, mc._CHUNK + 1, 2 * mc._CHUNK + 7])
-@pytest.mark.parametrize("dist", [
-    PumpingDistribution.uniform(), PumpingDistribution.point(4),
-], ids=["uniform", "m4"])
-def test_transfer_matches_oracle_across_chunks(cr, field, dist, count):
-    assert_matches_oracle(mot(), dist, field, cr, count, 5)
-
-
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
     sigma=st.just(0.0) | st.floats(1e-6, 1e-3),
     temperature=st.floats(1e-6, 1e-3),
     gradient=st.floats(0.01, 1.0),
-    probabilities=st.lists(st.integers(0, 4), min_size=9, max_size=9)
-    .filter(any),
+    weights=st.lists(st.integers(0, 4), min_size=9, max_size=9).filter(any),
+    low_zeros=st.integers(0, 8),
+    high_zeros=st.integers(0, 8),
+    offset=st.floats(-0.999e-12, 0.999e-12),
     count=st.integers(1, 5000),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(sigma=0.0, temperature=1e-4, gradient=0.1,
-         probabilities=[0, 1, 2, 3, 4, 0, 0, 0, 0], count=100, seed=0)
+         weights=[0, 1, 2, 3, 4, 0, 0, 0, 0], low_zeros=0, high_zeros=0,
+         offset=0.0, count=100, seed=0)
 @example(sigma=0.0, temperature=1e-4, gradient=0.1,
-         probabilities=[1, 0, 0, 0, 0, 0, 0, 0, 1], count=1, seed=0)
-def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
-                                          probabilities, count, seed):
-    weights = np.array(probabilities, dtype=float)
-    dist = PumpingDistribution(tuple(weights / weights.sum()))
-    assert_matches_oracle(mot(sigma=sigma, t=temperature), dist,
-                          QuadrupoleField(gradient), cr, count, seed)
-
-
-def test_transfer_matches_oracle_property_small_chunks(cr):
-    # the same property in blocks of 7 rows: many blocks per run, and
-    # blocks without a single trapped atom
-    with mock.patch.object(mc, "_CHUNK", 7):
-        test_transfer_matches_oracle_property(cr)
+         weights=[1, 0, 0, 0, 0, 0, 0, 0, 1], low_zeros=0, high_zeros=0,
+         offset=0.0, count=1, seed=0)
+@example(sigma=2e-4, temperature=3e-4, gradient=0.1,
+         weights=[0, 0, 0, 0, 0, 1, 1, 1, 0], low_zeros=0, high_zeros=0,
+         offset=0.999e-12, count=5000, seed=0)
+def test_transfer_report_property(cr, sigma, temperature, gradient, weights,
+                                  low_zeros, high_zeros, offset, count,
+                                  seed):
+    # zero tails at either end, and a sum off 1 by up to the 1e-12 that
+    # validation allows
+    w = np.array(weights, dtype=float)
+    w[:low_zeros] = 0.0
+    w[9 - high_zeros:] = 0.0
+    if not w.any():
+        w[low_zeros % 9] = 1.0
+    p = w / w.sum()
+    p[np.flatnonzero(p)[-1]] += offset
+    dist = PumpingDistribution(tuple(p))
+    cloud = mot(sigma=sigma, t=temperature)
+    rng = seed_stream(seed, "property")
+    try:
+        report = simulate_transfer(cloud, dist, QuadrupoleField(gradient),
+                                   cr, count, rng)
+    except ValueError as exc:
+        assert "no trapped atoms" in str(exc)
+        return
+    assert dist.trapped_fraction > 0.0
+    assert report.particles == count
+    assert 0 < report.trapped <= report.particles
+    assert all(math.isfinite(value)
+               for value in dataclasses.astuple(report))
+    assert report.temperature_stderr >= 0.0
+    assert report.mean_radius_stderr >= 0.0
+    if sigma == 0.0:
+        assert report.mean_radius == 0.0
 
 
 @pytest.mark.parametrize("dist", [
     PumpingDistribution.point(4), PumpingDistribution.uniform(),
 ], ids=["m4", "uniform"])
 def test_transfer_peak_memory_per_particle(cr, field, dist):
-    # no (n, 3) array and no full-length substate array: two per-atom
-    # float arrays and the statistics' temporary, about 30 B per particle
+    # no (n, 3) array and no substate array: the radius and energy arrays
+    # of the trapped atoms and the statistics' temporary, 24 B per trapped
+    # particle
     count = 200_000
     tracemalloc.start()
     try:
@@ -415,7 +342,34 @@ def test_transfer_rejects_count_below_one(cr, count):
     assert rng.bit_generator.state == state
 
 
-# ------------------------------------------------------- the worker thread
+# ---------------------------------------------- failures and concurrency
+
+
+class FailingGenerator:
+    """Draws from ``rng`` until the second ``standard_gamma`` call, which
+    raises ``error``."""
+
+    def __init__(self, rng, error):
+        self.rng, self.error, self.calls = rng, error, 0
+
+    def multinomial(self, n, pvals):
+        return self.rng.multinomial(n, pvals)
+
+    def standard_gamma(self, shape, size):
+        self.calls += 1
+        if self.calls == 2:
+            raise self.error
+        return self.rng.standard_gamma(shape, size)
+
+
+def test_draw_failure_reaches_the_caller_unchanged(cr, field):
+    error = RuntimeError("generator failed")
+    rng = FailingGenerator(seed_stream(41, "fail"), error)
+    with pytest.raises(RuntimeError) as raised:
+        simulate_transfer(mot(), PumpingDistribution.uniform(), field, cr,
+                          10_000, rng)
+    assert raised.value is error
+    assert rng.calls == 2
 
 
 def run_on_threads(*calls, timeout=60.0):
@@ -445,68 +399,6 @@ def run_on_threads(*calls, timeout=60.0):
     return results
 
 
-class FailingGenerator:
-    """Draws from ``rng`` until the third ``standard_normal`` call, which
-    raises ``error``."""
-
-    def __init__(self, rng, error):
-        self.rng, self.error, self.calls = rng, error, 0
-
-    def standard_normal(self, out):
-        self.calls += 1
-        if self.calls == 3:
-            raise self.error
-        return self.rng.standard_normal(out=out)
-
-    def random(self, out):
-        return self.rng.random(out=out)
-
-
-def test_transfer_leaves_no_thread_behind(cr, field):
-    # called on this thread, so a worker still running at return shows
-    before = threading.active_count()
-    simulate_transfer(mot(), UPPER, field, cr, 3 * mc._CHUNK,
-                      seed_stream(40, "threads"))
-    assert threading.active_count() == before
-    with pytest.raises(ValueError, match="no trapped atoms"):
-        simulate_transfer(mot(), PumpingDistribution.point(-2), field, cr,
-                          3 * mc._CHUNK, seed_stream(40, "threads"))
-    assert threading.active_count() == before
-
-
-def test_draw_failure_reaches_the_caller_unchanged(cr, field):
-    error = RuntimeError("generator failed")
-    rng = FailingGenerator(seed_stream(41, "fail"), error)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError) as raised:
-        run_on_threads(lambda: simulate_transfer(
-            mot(), PumpingDistribution.uniform(), field, cr, 3 * mc._CHUNK,
-            rng))
-    assert raised.value is error
-    assert rng.calls == 3
-    assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("helper", ["_squared_norms", "_energies"])
-def test_worker_failure_reaches_the_caller_unchanged(cr, field, helper,
-                                                     monkeypatch):
-    # _squared_norms fails on the first position block, _energies on the
-    # first substate block, after every normal has been drawn
-    error = ArithmeticError(f"{helper} failed")
-
-    def fail(*args, **kwargs):
-        raise error
-
-    monkeypatch.setattr(mc, helper, fail)
-    before = threading.active_count()
-    with pytest.raises(ArithmeticError) as raised:
-        run_on_threads(lambda: simulate_transfer(
-            mot(), PumpingDistribution.uniform(), field, cr, 3 * mc._CHUNK,
-            seed_stream(42, "fail")))
-    assert raised.value is error
-    assert threading.active_count() == before
-
-
 def transfer_call(cr, fld, dist, count, seed):
     def call():
         rng = seed_stream(seed, "concurrent")
@@ -517,28 +409,26 @@ def transfer_call(cr, fld, dist, count, seed):
 
 def test_concurrent_transfers_match_serial_ones(cr, field):
     # two calls on two threads, each with its own generator, share no
-    # buffer: the same reports and generator states as made one by one
+    # state: the same reports and generator states as made one by one
     calls = [transfer_call(cr, field, PumpingDistribution.uniform(),
-                           2 * mc._CHUNK + 7, 43),
-             transfer_call(cr, field, UPPER, 2 * mc._CHUNK + 7, 44)]
+                           100_000, 43),
+             transfer_call(cr, field, UPPER, 100_000, 44)]
     serial = [call() for call in calls]
     assert run_on_threads(*calls) == serial
 
 
 def test_concurrent_transfers_under_stress(cr, field):
-    # more callers than cores, blocks of 7 rows (hundreds of hand-overs
-    # per call) and a short switch interval: a lost hand-over or a block
-    # reduced twice changes a report
+    # more callers than cores and a short switch interval, so the calls
+    # interleave between numpy operations
     calls = [transfer_call(cr, field, dist, 3000, 45 + i) for i, dist in
              enumerate([PumpingDistribution.uniform(), UPPER,
                         PumpingDistribution.point(4),
                         PumpingDistribution.point(1)])]
+    serial = [call() for call in calls]
     interval = sys.getswitchinterval()
-    with mock.patch.object(mc, "_CHUNK", 7):
-        serial = [call() for call in calls]
-        sys.setswitchinterval(1e-5)
-        try:
-            concurrent = run_on_threads(*calls)
-        finally:
-            sys.setswitchinterval(interval)
+    sys.setswitchinterval(1e-5)
+    try:
+        concurrent = run_on_threads(*calls)
+    finally:
+        sys.setswitchinterval(interval)
     assert concurrent == serial

@@ -136,6 +136,19 @@ def test_mc_transfer_report_row():
     assert abs(parsed.column("rel_diff")[0]) < 0.02
 
 
+def test_mc_transfer_reports_mean_radius_stderr_last():
+    sc = parse_scenario("mc.particles = 20000")
+    parsed = parse_csv(mc_transfer(sc).to_csv())
+    assert parsed.columns[-1] == ("mean_radius_stderr", "m")
+    stderr = parsed.column("mean_radius_stderr")[0]
+    assert np.isfinite(stderr) and stderr > 0
+    # 2e4 atoms: the error of the mean is well under 1% of the mean
+    assert stderr < 0.01 * parsed.column("mean_radius")[0]
+    diff = parsed.column("mean_radius")[0] - parsed.column(
+        "mean_radius_expected")[0]
+    assert abs(diff) < 5 * stderr
+
+
 def test_untrapped_configuration_raises():
     from mtload.errors import UntrappedCloudError
     sc = parse_scenario("trap.gradient_G_per_cm = 0.05")
