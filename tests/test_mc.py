@@ -14,7 +14,7 @@ from mc_oracle import (Ensemble, ensemble_energies, oracle_transfer,
 from mtload import (MotCloud, PumpingDistribution, QuadrupoleField,
                     predict_mt_temperature, simulate_transfer)
 from mtload.constants import K_B, MU_B
-from mtload.mc import seed_stream
+from mtload.mc import ZEEMAN_M_VALUES, seed_stream
 
 
 def mot(sigma=200e-6, t=300e-6):
@@ -103,6 +103,82 @@ def test_distribution_rejects_non_finite(bad):
 
 
 UPPER = PumpingDistribution((0, 0, 0, 0, 0, 0.1, 0.2, 0.3, 0.4))
+
+
+class RecordingGenerator:
+    """Draws from ``rng`` and keeps the substate counts of the last
+    ``multinomial`` call."""
+
+    def __init__(self, rng):
+        self.rng, self.counts = rng, None
+
+    def multinomial(self, n, pvals):
+        self.counts = self.rng.multinomial(n, pvals)
+        return self.counts
+
+    def standard_gamma(self, shape, size):
+        return self.rng.standard_gamma(shape, size)
+
+
+def assert_matches_choice(cr, field, dist, count, seed):
+    # simulate_transfer's substate counts against the generator's own
+    # categorical sampler: the same support and total exactly, and each
+    # count within 5 sigma of the difference of two binomials where the
+    # normal approximation holds
+    rng = RecordingGenerator(seed_stream(seed, "cat"))
+    try:
+        report = simulate_transfer(mot(), dist, field, cr, count, rng)
+    except ValueError as exc:
+        assert "no trapped atoms" in str(exc)
+        report = None
+    counts = rng.counts
+    choice = sample_zeeman_substates(dist, count,
+                                     seed_stream(seed, "choice"))
+    expected = np.bincount(choice + 4, minlength=9)
+    assert counts.shape == (9,)
+    assert counts.sum() == count
+    if report is None:
+        assert counts[5:].sum() == 0
+    else:
+        assert report.trapped == counts[5:].sum()
+    for p, got, want in zip(dist.probabilities, counts, expected):
+        if p == 0.0:
+            assert got == want == 0
+        elif p == 1.0:
+            assert got == want == count
+        elif count * p * (1 - p) >= 25:
+            assert abs(int(got) - int(want)) <= 5 * math.sqrt(
+                2 * count * p * (1 - p))
+
+
+@pytest.mark.parametrize("dist", [
+    *(PumpingDistribution.point(m) for m in ZEEMAN_M_VALUES),
+    PumpingDistribution.uniform(), UPPER,
+], ids=[*(f"m{m}" for m in ZEEMAN_M_VALUES), "uniform", "upper"])
+def test_substates_match_generator_choice(cr, field, dist):
+    assert_matches_choice(cr, field, dist, 50_000, 31)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 5), min_size=9, max_size=9).filter(any),
+    low_zeros=st.integers(0, 8),
+    high_zeros=st.integers(0, 8),
+    count=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_substates_match_choice_property(cr, weights, low_zeros, high_zeros,
+                                         count, seed):
+    # zero tails at either end give substates that neither sampler may
+    # draw
+    w = np.array(weights, dtype=float)
+    w[:low_zeros] = 0.0
+    w[9 - high_zeros:] = 0.0
+    if not w.any():
+        w[low_zeros % 9] = 1.0
+    assert_matches_choice(cr, QuadrupoleField(0.1),
+                          PumpingDistribution(tuple(w / w.sum())), count,
+                          seed)
 
 
 # ------------------------------------------------------------ energetics
@@ -230,23 +306,13 @@ def test_transfer_deterministic(cr, field):
 # ------------------------------------ sufficient statistics vs the oracle
 
 
-@pytest.mark.parametrize("dist", [
-    PumpingDistribution.point(1), PumpingDistribution.point(2),
-    PumpingDistribution.point(3), PumpingDistribution.point(4),
-    PumpingDistribution.uniform(), UPPER,
-], ids=["m1", "m2", "m3", "m4", "uniform", "upper"])
-@pytest.mark.parametrize("sigma", [0.0, 200e-6])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
+def assert_matches_oracle(cloud, dist, fld, species, count, seed):
     # other draws from the same distribution as the 3-D ensemble: each mean
-    # within 5 combined standard errors, each standard error within 2% of
-    # the oracle's (about 5 sigma of the scatter of a standard error at
-    # this count), and the trapped count within 5 binomial sigma
-    count = 400_000
-    cloud = mot(sigma=sigma)
-    report = simulate_transfer(cloud, dist, field, cr, count,
+    # within 5 combined standard errors of the oracle's and the trapped
+    # count within 5 binomial sigma of its expectation
+    report = simulate_transfer(cloud, dist, fld, species, count,
                                seed_stream(seed, "oracle"))
-    expected = oracle_transfer(cloud, dist, field, cr, count,
+    expected = oracle_transfer(cloud, dist, fld, species, count,
                                seed_stream(seed, "oracle"))
     assert report.particles == count
     trapped = min(dist.trapped_fraction, 1.0)
@@ -256,9 +322,101 @@ def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
                       ("mean_radius", "mean_radius_stderr")):
         combined = math.hypot(getattr(report, err), expected[err])
         assert abs(getattr(report, mean) - expected[mean]) <= 5 * combined
+    assert report.mean_radius_expected == expected["mean_radius_expected"]
+    return report, expected
+
+
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.point(1), PumpingDistribution.point(2),
+    PumpingDistribution.point(3), PumpingDistribution.point(4),
+    PumpingDistribution.uniform(), UPPER,
+], ids=["m1", "m2", "m3", "m4", "uniform", "upper"])
+@pytest.mark.parametrize("sigma", [0.0, 200e-6])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
+    # also each standard error within 2% of the oracle's: about 5 sigma of
+    # the scatter of a standard error at this count
+    report, expected = assert_matches_oracle(mot(sigma=sigma), dist, field,
+                                             cr, 400_000, seed)
+    for err in ("temperature_stderr", "mean_radius_stderr"):
         assert getattr(report, err) == pytest.approx(expected[err],
                                                      rel=0.02), err
-    assert report.mean_radius_expected == expected["mean_radius_expected"]
+
+
+@pytest.mark.parametrize("count", [65535, 65536, 65537, 131079])
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.uniform(), PumpingDistribution.point(4),
+], ids=["uniform", "m4"])
+def test_transfer_matches_oracle_across_chunks(cr, field, dist, count):
+    # counts at, beside and past the 2**16-atom block edges of the streamed
+    # sampler that this one replaced
+    assert_matches_oracle(mot(), dist, field, cr, count, 5)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    sigma=st.just(0.0) | st.floats(1e-6, 1e-3),
+    temperature=st.floats(1e-6, 1e-3),
+    gradient=st.floats(0.01, 1.0),
+    weights=st.lists(st.integers(0, 4), min_size=9, max_size=9)
+    .filter(lambda w: any(w[5:])),
+    count=st.integers(20_000, 40_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
+                                          weights, count, seed):
+    # across the reservoir, the field and the pumping: at least 1/33 of the
+    # atoms are trapped, so every run has hundreds of trapped atoms
+    w = np.array(weights, dtype=float)
+    assert_matches_oracle(mot(sigma=sigma, t=temperature),
+                          PumpingDistribution(tuple(w / w.sum())),
+                          QuadrupoleField(gradient), cr, count, seed)
+
+
+def audit_of_draws(cloud, dist, fld, species, count, rng, block):
+    """simulate_transfer's draws audited the plain way: a substate per
+    atom, and each atom's radius and energy computed ``block`` atoms at a
+    time, so the substate segments start and end inside blocks."""
+    p = np.asarray(dist.probabilities)
+    m = np.repeat(np.array(ZEEMAN_M_VALUES), rng.multinomial(count,
+                                                            p / p.sum()))
+    m = m[m > 0]
+    n = len(m)
+    g_r = rng.standard_gamma(1.5, n)
+    g_v = rng.standard_gamma(1.5, n)
+    radius, total = np.empty(n), np.empty(n)
+    for start in range(0, n, block):
+        atoms = slice(start, start + block)
+        radius[atoms] = cloud.size_sigma * np.sqrt(2.0 * g_r[atoms])
+        kinetic = K_B * cloud.temperature * g_v[atoms]
+        potential = (species.lande_g_d * m[atoms] * MU_B * fld.gradient
+                     * radius[atoms])
+        total[atoms] = kinetic + potential
+    return n, total, radius
+
+
+@pytest.mark.parametrize("chunk", [7, 65536])
+@pytest.mark.parametrize("count", [1000, 131079])
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.uniform(), PumpingDistribution.point(4), UPPER,
+], ids=["uniform", "m4", "upper"])
+def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
+                                                      chunk):
+    # the in-place, segment-wise arithmetic gives the same floats as the
+    # per-atom audit of the same draws: ==, not a tolerance
+    rng = seed_stream(29, "bits")
+    n, total, radius = audit_of_draws(mot(), dist, field, cr, count, rng,
+                                      chunk)
+    sampled_rng = seed_stream(29, "bits")
+    report = simulate_transfer(mot(), dist, field, cr, count, sampled_rng)
+    assert report.trapped == n
+    assert report.temperature_mc == 2.0 * float(total.mean()) / (9.0 * K_B)
+    assert report.temperature_stderr == (
+        2.0 * float(total.std(ddof=1)) / (9.0 * K_B * math.sqrt(n)))
+    assert report.mean_radius == float(radius.mean())
+    assert report.mean_radius_stderr == (float(radius.std(ddof=1))
+                                         / math.sqrt(n))
+    assert sampled_rng.bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
@@ -370,6 +528,19 @@ def test_draw_failure_reaches_the_caller_unchanged(cr, field):
                           10_000, rng)
     assert raised.value is error
     assert rng.calls == 2
+
+
+def test_transfer_leaves_no_thread_behind(cr, field):
+    # the whole call runs on this thread: none is left running after a
+    # return or a raise
+    before = threading.active_count()
+    simulate_transfer(mot(), UPPER, field, cr, 200_000,
+                      seed_stream(40, "threads"))
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="no trapped atoms"):
+        simulate_transfer(mot(), PumpingDistribution.point(-2), field, cr,
+                          200_000, seed_stream(40, "threads"))
+    assert threading.active_count() == before
 
 
 def run_on_threads(*calls, timeout=60.0):
