@@ -12,8 +12,7 @@ from .dynamics import (RateModel, Trajectory, integrate_mt_decay,
                        loading_curve, mot_on_decay_rate,
                        steady_state_population)
 from .errors import (ConfigError, FitNotConvergedError, GravityAxisError,
-                     InputDataError, IntegrationError, MtloadError,
-                     UntrappedCloudError)
+                     InputDataError, MtloadError, UntrappedCloudError)
 from .estimation import (DensityImage, SampleSeries, fit_density_image,
                          fit_linear, fit_loading_curve, fit_two_body_loss,
                          render_density_image)
@@ -35,8 +34,7 @@ __all__ = [
     "RateModel", "Trajectory", "integrate_mt_decay", "loading_curve",
     "mot_on_decay_rate", "steady_state_population",
     "ConfigError", "FitNotConvergedError", "GravityAxisError",
-    "InputDataError", "IntegrationError", "MtloadError",
-    "UntrappedCloudError",
+    "InputDataError", "MtloadError", "UntrappedCloudError",
     "DensityImage", "SampleSeries", "fit_density_image", "fit_linear",
     "fit_loading_curve", "fit_two_body_loss", "render_density_image",
     "LightField", "efficiency_from_rate",

@@ -6,9 +6,9 @@ fit, mc-transfer. Global flags: --scenario <path>, --seed <u64>,
 
 Exit codes: 0 success, 2 configuration or input-data error (a bad
 scenario, a missing column, a non-finite value, too few samples, a time
-axis that does not increase, degenerate data), 3 numeric failure
-(integration, fit convergence, an untrapped cloud, or a non-finite value
-in the output table), 4 I/O error.
+axis that does not increase, degenerate data), 3 numeric failure (fit
+convergence, an untrapped cloud, or a non-finite value in the output
+table), 4 I/O error.
 """
 
 import argparse
@@ -19,8 +19,7 @@ import sys
 
 from . import pipelines
 from .errors import (ConfigError, FitNotConvergedError, GravityAxisError,
-                     InputDataError, IntegrationError, MtloadError,
-                     UntrappedCloudError)
+                     InputDataError, MtloadError, UntrappedCloudError)
 from .estimation import (SampleSeries, fit_density_image, fit_linear,
                          fit_loading_curve, fit_two_body_loss,
                          image_from_table)
@@ -194,8 +193,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"mtload: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, FitNotConvergedError, GravityAxisError,
-            UntrappedCloudError, ValueError) as exc:
+    except (FitNotConvergedError, GravityAxisError, UntrappedCloudError,
+            ValueError) as exc:
         print(f"mtload: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

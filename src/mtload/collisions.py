@@ -10,12 +10,14 @@ from numpy.polynomial.legendre import leggauss
 from .constants import K_B
 from .species import SpeciesData
 
-# fixed Gauss-Legendre rule for the angle t in (-pi/2, pi/2) of the
-# overlap integral; its integrand is analytic in t
-_NODES, _WEIGHTS = leggauss(32)
-_COS_T = np.cos(0.5 * math.pi * _NODES)
-_SIN2_T = np.sin(0.5 * math.pi * _NODES) ** 2
-_WEIGHTS_T = 0.5 * math.pi * _WEIGHTS
+# fixed 32-node Gauss-Legendre rule on [-1, 1], shared with the decay
+# integral in dynamics
+GAUSS_NODES, GAUSS_WEIGHTS = leggauss(32)
+# the rule mapped to the angle t in (-pi/2, pi/2) of the overlap integral;
+# its integrand is analytic in t
+_COS_T = np.cos(0.5 * math.pi * GAUSS_NODES)
+_SIN2_T = np.sin(0.5 * math.pi * GAUSS_NODES) ** 2
+_WEIGHTS_T = 0.5 * math.pi * GAUSS_WEIGHTS
 
 
 def mean_collision_velocity(t_mot: float, t_mt: float,

@@ -6,12 +6,17 @@ neglected (the mean density times beta stays well below the inverse
 loading time constant). After the reservoir is switched off the peak
 density obeys
 
-    dn0/dt = -n0/t0 - beta n0^2 - (n0/V) dV/dt
+    dn/dt = -n/t0 - beta n^2 - (n/V) dV/dt
 
 with a linearly growing volume V(t) = V0 (1 + alpha t) standing in for the
-phenomenological heating. The equation is integrated in density space with
-an adaptive embedded Runge-Kutta pair (Cash-Karp 4(5)) at a local relative
-tolerance of 1e-9 and converted to atom number afterward.
+phenomenological heating. With u = 1/n the equation is linear,
+du/dt = u (1/t0 + alpha/(1 + alpha t)) + beta, and from a start time s
+
+    n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w(t') dt'),
+    w(t) = exp(-(t - s)/t0) (1 + alpha s)/(1 + alpha t).
+
+The integral of w is the only numerical step, a fixed Gauss-Legendre sum;
+the atom number follows as N = n V.
 """
 
 import math
@@ -20,36 +25,39 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationError
+from .collisions import GAUSS_NODES, GAUSS_WEIGHTS
 
 VolumeLaw = Callable[[float], tuple[float, float]]  # t -> (V, dV/dt)
 
 
 @dataclass(frozen=True)
 class RateModel:
-    """Rate parameters of the trap: loading rate R, total decay rate with
-    the reservoir on, background lifetime t0, two-body coefficient beta,
-    and the linear volume-growth law V(t) = V0 (1 + alpha t).
+    """Rate parameters of the trap after loading: background lifetime t0,
+    two-body coefficient beta, and the linear volume-growth law
+    V(t) = V0 (1 + alpha t).
 
-    ``background_lifetime`` may be ``math.inf`` to disable background loss.
+    Every field must be finite, except that ``background_lifetime`` may be
+    ``math.inf`` to disable background loss.
     """
 
-    loading_rate: float = 0.0          # 1/s
-    total_decay_rate: float = 0.0      # 1/s (Gamma = 1/tau with reservoir on)
     background_lifetime: float = math.inf  # s (t0)
     two_body_coeff: float = 0.0        # m^3/s (beta)
     initial_volume: float = 1.0        # m^3 (V0)
     volume_growth_rate: float = 0.0    # 1/s (alpha)
 
     def __post_init__(self):
-        for name in ("loading_rate", "total_decay_rate", "two_body_coeff",
-                     "volume_growth_rate"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.background_lifetime <= 0:
-            raise ValueError("background_lifetime must be positive")
-        if self.initial_volume <= 0:
-            raise ValueError("initial_volume must be positive")
+        for name in ("two_body_coeff", "volume_growth_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, "
+                                 f"got {value!r}")
+        if not 0 < self.background_lifetime <= math.inf:
+            raise ValueError("background_lifetime must be positive, got "
+                             f"{self.background_lifetime!r}")
+        if not (math.isfinite(self.initial_volume)
+                and self.initial_volume > 0):
+            raise ValueError("initial_volume must be finite and positive, "
+                             f"got {self.initial_volume!r}")
 
     def volume_law(self) -> VolumeLaw:
         v0, alpha = self.initial_volume, self.volume_growth_rate
@@ -115,108 +123,76 @@ def mot_on_decay_rate(n_e: float, sigma_ed: float, v: float,
     return gamma_background + n_e * sigma_ed * v
 
 
-# Cash-Karp 4(5) embedded pair
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-_CK_ERR = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
-
-_SAFETY = 0.9
-_MIN_SHRINK = 0.2
-_MAX_GROW = 5.0
-
-
-def _integrate_scalar(rhs, y0: float, times: np.ndarray, rtol: float,
-                      atol: float, first_step: float) -> np.ndarray:
-    """Integrate a scalar ODE through ``times`` (times[0] is the initial
-    time), hitting every output time exactly by clipping the adaptive step.
-    """
-    out = np.empty(len(times))
-    out[0] = y0
-    t, y = float(times[0]), float(y0)
-    h = first_step
-    h_floor = 1e-14 * max(abs(times[-1] - times[0]), 1.0)
-    for i, t_target in enumerate(times[1:], start=1):
-        # a leftover gap below the floor is roundoff, not missing dynamics
-        while t_target - t > h_floor:
-            h = min(h, t_target - t)
-            if h < h_floor:
-                raise IntegrationError(
-                    f"step size underflow at t={t:.6e} (h={h:.3e}, y={y:.6e})"
-                )
-            with np.errstate(divide="ignore", invalid="ignore",
-                             over="ignore"):
-                k = [rhs(t, y)]
-                for stage in range(1, 6):
-                    ys = y + h * sum(a * ki for a, ki in zip(_CK_A[stage], k))
-                    k.append(rhs(t + _CK_C[stage] * h, ys))
-                y5 = y + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-                err = abs(h * sum(e * ki for e, ki in zip(_CK_ERR, k)))
-            if not (math.isfinite(y5) and math.isfinite(err)):
-                # stepped into a singularity of the right-hand side; retry
-                # shorter until the step-size floor reports failure
-                h = h * _MIN_SHRINK
-                continue
-            scale = atol + rtol * max(abs(y), abs(y5))
-            if err <= scale:
-                t, y = t + h, y5
-                grow = (_MAX_GROW if err == 0.0
-                        else min(_MAX_GROW, _SAFETY * (scale / err) ** 0.2))
-                h = h * max(grow, _MIN_SHRINK)
-            else:
-                h = h * max(_MIN_SHRINK, _SAFETY * (scale / err) ** 0.2)
-        out[i] = y
-    return out
-
-
 def decay_density_at(times: np.ndarray, initial_density: float,
-                     model: RateModel,
-                     volume_law: VolumeLaw | None = None) -> np.ndarray:
+                     model: RateModel) -> np.ndarray:
     """Peak density at the given times (times[0] is the start) under the
-    background + two-body + dilution equation."""
+    background + two-body + dilution equation, from its exact solution.
+
+    With s = times[0] and w(t) = exp(-(t-s)/t0) (1 + alpha s)/(1 + alpha t),
+
+        n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w).
+
+    The integral is summed with the 32-node Gauss-Legendre rule on panels
+    no wider than t0, between break points at the sample times and where
+    1 + alpha t doubles, so that no panel is wider than (1 + alpha a)/alpha
+    at its start a either.
+    """
     times = np.asarray(times, dtype=float)
-    if initial_density <= 0:
-        raise ValueError("initial_density must be positive")
-    law = volume_law if volume_law is not None else model.volume_law()
-    inv_t0 = (0.0 if math.isinf(model.background_lifetime)
-              else 1.0 / model.background_lifetime)
-    beta = model.two_body_coeff
+    if not (math.isfinite(initial_density) and initial_density > 0):
+        raise ValueError("initial_density must be finite and positive, got "
+                         f"{initial_density!r}")
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1-D array")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
+    t0 = model.background_lifetime
+    beta, alpha = model.two_body_coeff, model.volume_growth_rate
+    s = times[0]
 
-    def rhs(t, n):
-        vol, dvol = law(t)
-        return -n * inv_t0 - beta * n * n - n * dvol / vol
+    def w(t):
+        return np.exp(-(t - s) / t0) * ((1.0 + alpha * s) / (1.0 + alpha * t))
 
-    # characteristic rate sets the trial first step
-    rate0 = inv_t0 + beta * initial_density + model.volume_growth_rate
-    span = times[-1] - times[0]
-    first = min(span / 100.0, 0.1 / rate0) if rate0 > 0 else span / 100.0
-    return _integrate_scalar(rhs, initial_density, times, rtol=1e-9,
-                             atol=1e-9 * initial_density * 1e-6,
-                             first_step=first)
+    # past 746 t0 the integrand underflows to 0, so the panels stop there;
+    # the doubling points keep the panel count logarithmic in alpha t
+    ends = np.minimum(times, s + 746.0 * t0)
+    growth = (1.0 + alpha * ends[-1]) / (1.0 + alpha * s)
+    doublings = ((1.0 + alpha * s) * 2.0 ** np.arange(1.0, np.log2(growth))
+                 - 1.0) / alpha
+    breaks = np.sort(np.concatenate((ends, doublings)))
+    width = np.diff(breaks)
+    panels = np.maximum(1.0, np.ceil(width / t0)).astype(np.intp)
+    first = np.cumsum(panels) - panels
+    step = np.repeat(width / panels, panels)
+    index = np.arange(panels.sum()) - np.repeat(first, panels)
+    left = np.repeat(breaks[:-1], panels) + step * index
+    nodes = left[:, None] + (0.5 * step)[:, None] * (1.0 + GAUSS_NODES)
+    per_panel = 0.5 * step * (w(nodes) @ GAUSS_WEIGHTS)
+    integral = np.zeros_like(breaks)
+    np.cumsum(np.add.reduceat(per_panel, first), out=integral[1:])
+    return initial_density * w(times) / (
+        1.0 + beta * initial_density
+        * integral[np.searchsorted(breaks, ends)])
 
 
 def integrate_mt_decay(initial_density: float, model: RateModel,
-                       t_end: float, dt_hint: float,
-                       volume_law: VolumeLaw | None = None) -> Trajectory:
-    """Integrate the post-loading decay and sample it every ``dt_hint``
-    seconds (plus the end point). Emits peak density, the volume law, and
-    the atom number N = n0 V."""
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if dt_hint <= 0:
-        raise ValueError("dt_hint must be positive")
+                       t_end: float, dt_hint: float) -> Trajectory:
+    """Sample the post-loading decay from 0 to ``t_end`` in the fewest
+    equal steps no longer than ``dt_hint``. Emits peak density, the volume
+    law, and the atom number N = n0 V."""
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
+    if not (math.isfinite(dt_hint) and dt_hint > 0):
+        raise ValueError("dt_hint must be finite and positive, got "
+                         f"{dt_hint!r}")
     n_steps = max(1, math.ceil(t_end / dt_hint))
+    # t_end / dt_hint can round up past an integer, as it does for
+    # dt_hint = t_end / (samples - 1); one step fewer then already fits
+    if n_steps > 1 and t_end / (n_steps - 1) <= dt_hint:
+        n_steps -= 1
     times = np.linspace(0.0, t_end, n_steps + 1)
-    density = decay_density_at(times, initial_density, model, volume_law)
-    law = volume_law if volume_law is not None else model.volume_law()
-    volume = np.array([law(t)[0] for t in times])
+    density = decay_density_at(times, initial_density, model)
+    volume, _ = model.volume_law()(times)
     return Trajectory(times=times, peak_density=density,
                       atom_number=density * volume, volume=volume)

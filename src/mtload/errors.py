@@ -21,10 +21,6 @@ class UntrappedCloudError(MtloadError):
     profile is not normalizable and no finite volume exists."""
 
 
-class IntegrationError(MtloadError):
-    """The ODE integrator could not reach the requested time."""
-
-
 class FitNotConvergedError(MtloadError):
     """An iterative fit exhausted its iteration budget.
 

@@ -389,7 +389,8 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     """Single-parameter fit of the two-body coefficient beta.
 
     The volume history is fitted linearly first; every model evaluation
-    then integrates the decay equation from the first density sample.
+    then takes the exact solution of the decay equation from the first
+    density sample (``decay_density_at``).
     ``t0`` comes from an independent ground-state decay measurement.
     extras report how much the fitted beta moves when t0 is perturbed by
     +-50% (the t0_sensitivity fraction) and whether a negative beta

@@ -42,6 +42,18 @@ def test_byte_identical_reruns(tmp_path, small_scenario, command):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_decay_writes_decay_samples_rows(tmp_path):
+    # t_end / (samples - 1) rounds so that t_end over it exceeds 49
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text("decay.samples = 50\ndecay.t_end_s = 1.0\n",
+                   encoding="utf-8")
+    code, out = run_to_file(tmp_path, ["simulate-decay", "--scenario",
+                                       str(cfg)])
+    assert code == 0
+    t = parse_csv(out.read_text(encoding="utf-8")).column("t")
+    assert len(t) == 50 and t[0] == 0.0 and t[-1] == 1.0
+
+
 def test_global_flags_accepted_before_subcommand(tmp_path, small_scenario):
     code, out = run_to_file(
         tmp_path, ["--scenario", small_scenario, "--seed", "5",
