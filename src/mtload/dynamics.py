@@ -130,7 +130,10 @@ def decay_density_at(times: np.ndarray, initial_density: float,
 
     With s = times[0] and w(t) = exp(-(t-s)/t0) (1 + alpha s)/(1 + alpha t),
 
-        n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w).
+        n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w),
+
+    or w(t) / (1/n(s) + beta int_s^t w) where beta n(s) int_s^t w would
+    overflow.
 
     The integral is summed with the 32-node Gauss-Legendre rule on panels
     no wider than t0, between break points at the sample times and where
@@ -171,9 +174,15 @@ def decay_density_at(times: np.ndarray, initial_density: float,
     per_panel = 0.5 * step * (w(nodes) @ GAUSS_WEIGHTS)
     integral = np.zeros_like(breaks)
     np.cumsum(np.add.reduceat(per_panel, first), out=integral[1:])
-    return initial_density * w(times) / (
-        1.0 + beta * initial_density
-        * integral[np.searchsorted(breaks, ends)])
+    integral = integral[np.searchsorted(breaks, ends)]
+    scale = float(beta) * float(initial_density)
+    if math.isfinite(scale * float(integral[-1])):
+        return initial_density * w(times) / (1.0 + scale * integral)
+    # beta n(s) int w overflows: the same solution divided through by
+    # n(s), which at s itself is n(s) exactly
+    density = w(times) / (1.0 / initial_density + beta * integral)
+    density[0] = initial_density
+    return density
 
 
 def integrate_mt_decay(initial_density: float, model: RateModel,

@@ -15,11 +15,14 @@ The audit needs only each atom's substate, |r| and |v|^2, so
 instead of 3-D positions and velocities. For an isotropic Gaussian,
 |r|^2/sigma^2 and |v|^2/v_th^2 are each chi-square with 3 degrees of
 freedom, which is exactly 2 Gamma(3/2); only the trapped atoms are drawn.
-A call runs on the calling thread and at peak holds three float arrays
-of the trapped-atom count: 24 B per trapped particle.
+A call runs on the calling thread and streams the trapped atoms through
+three float buffers of at most ``_BLOCK`` = 2**17 entries, folding each
+block's moments into running ones, so it holds at most about 3 MiB
+whatever the count.
 """
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -30,6 +33,10 @@ from .constants import K_B, MU_B
 from .species import SpeciesData
 
 ZEEMAN_M_VALUES = tuple(range(-4, 5))
+
+# trapped atoms per block of simulate_transfer: three float64 buffers of
+# this length, 1 MiB each, are all that a call allocates per atom
+_BLOCK = 2**17
 
 
 def seed_stream(seed: int, label: str) -> np.random.Generator:
@@ -100,6 +107,33 @@ class TransferReport:
         return self.trapped / self.particles
 
 
+def _fold(moments, x: np.ndarray, scratch: np.ndarray):
+    """Fold the block ``x`` into the running ``(count, mean, M2)``, where
+    M2 is the sum of squared deviations from the mean; ``None`` starts a
+    new fold. The block's own figures are computed as numpy's ``mean`` and
+    ``std`` compute them (pairwise sums of x, then of (x - mean)^2 in
+    ``scratch``), and blocks are merged with the pairwise update of Chan,
+    Golub & LeVeque (1979)."""
+    k = len(x)
+    mean = float(x.mean())
+    deviation = np.subtract(x, mean, out=scratch[:k])
+    np.multiply(deviation, deviation, out=deviation)
+    m2 = float(deviation.sum())
+    if moments is None:
+        return k, mean, m2
+    count, running_mean, running_m2 = moments
+    total = count + k
+    delta = mean - running_mean
+    return (total, running_mean + delta * k / total,
+            running_m2 + m2 + delta * delta * count * k / total)
+
+
+def _std(moments) -> float:
+    """Sample standard deviation (ddof = 1) of a fold with count > 1."""
+    count, _, m2 = moments
+    return math.sqrt(m2 / (count - 1))
+
+
 def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
                       field: QuadrupoleField, species: SpeciesData,
                       count: int, rng: np.random.Generator) -> TransferReport:
@@ -111,15 +145,24 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     |r|^2/sigma^2 and |v|^2/v_th^2 are chi-square with 3 degrees of
     freedom, i.e. 2 Gamma(3/2). The draws are: the atom count per substate
     (one multinomial over the normalised distribution), then, for the
-    n trapped (m > 0) atoms only, two ``standard_gamma(1.5, n)`` arrays G_r
-    and G_v. Per atom |r| = sigma sqrt(2 G_r), the kinetic energy is
-    k_B T G_v and the potential, in the isotropic mean-gradient convention
-    of the analytic estimate, is (g_d m mu_B) b |r|. The atoms are grouped
-    by substate, so the potential is applied one m-segment at a time. The
-    radius statistics are taken first; the radius array then becomes the
-    potential in place and is added to the kinetic array, so a call holds
-    at most three arrays of length n: 24 B per trapped particle.
+    n trapped (m > 0) atoms only, ordered by substate, one block of
+    ``_BLOCK`` = 2**17 atoms at a time: ``standard_gamma(1.5)`` values G_r
+    for the block, then G_v for the block. With n <= 2**17 that is one
+    array of n G_r and one of n G_v. Per atom |r| = sigma sqrt(2 G_r), the
+    kinetic energy is k_B T G_v and the potential, in the isotropic
+    mean-gradient convention of the analytic estimate, is
+    (g_d m mu_B) b |r|; each m-segment's slice of a block is scaled by its
+    own coefficient, and segments may cross block edges. Each block's
+    radius moments are taken before the radius becomes the potential in
+    place, its energy moments after the potential is added to the kinetic
+    term, and both are merged across blocks by ``_fold``. A call allocates
+    three buffers of min(n, 2**17) floats, about 3 MiB at most, at any
+    count; with one block every figure equals numpy's ``mean`` and
+    ``std(ddof=1)`` over the per-atom values.
     """
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+        raise TypeError(f"count must be an integer, got {count!r}")
+    count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     p = np.asarray(dist.probabilities)
@@ -128,22 +171,35 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     if n == 0:
         raise ValueError("no trapped atoms: pumping distribution has no "
                          "m > 0 weight or count too small")
-    radius = rng.standard_gamma(1.5, n)
-    total = rng.standard_gamma(1.5, n)
-    radius *= 2.0
-    np.sqrt(radius, out=radius)
-    radius *= mot.size_sigma
-    mean_radius = float(radius.mean())
-    radius_err = (float(radius.std(ddof=1)) / math.sqrt(n) if n > 1
-                  else 0.0)
-    total *= K_B * mot.temperature
-    stop = 0
+    segments, stop = [], 0
     for m, atoms in zip(ZEEMAN_M_VALUES[5:], per_m):
         start, stop = stop, stop + atoms
-        radius[start:stop] *= species.lande_g_d * m * MU_B * field.gradient
-    total += radius
-    t_mc = 2.0 * float(total.mean()) / (9.0 * K_B)
-    t_err = (2.0 * float(total.std(ddof=1)) / (9.0 * K_B * math.sqrt(n))
+        segments.append(
+            (start, stop, species.lande_g_d * m * MU_B * field.gradient))
+    size = min(n, _BLOCK)
+    radius_buf, total_buf, scratch = (np.empty(size), np.empty(size),
+                                      np.empty(size))
+    radius_moments = energy_moments = None
+    for first in range(0, n, _BLOCK):
+        last = min(first + _BLOCK, n)
+        radius, total = radius_buf[:last - first], total_buf[:last - first]
+        rng.standard_gamma(1.5, out=radius)
+        rng.standard_gamma(1.5, out=total)
+        radius *= 2.0
+        np.sqrt(radius, out=radius)
+        radius *= mot.size_sigma
+        radius_moments = _fold(radius_moments, radius, scratch)
+        for start, stop, coeff in segments:
+            if start < last and stop > first:
+                radius[max(start, first) - first:
+                       min(stop, last) - first] *= coeff
+        total *= K_B * mot.temperature
+        total += radius
+        energy_moments = _fold(energy_moments, total, scratch)
+    mean_radius = radius_moments[1]
+    radius_err = (_std(radius_moments) / math.sqrt(n) if n > 1 else 0.0)
+    t_mc = 2.0 * energy_moments[1] / (9.0 * K_B)
+    t_err = (2.0 * _std(energy_moments) / (9.0 * K_B * math.sqrt(n))
              if n > 1 else 0.0)
     return TransferReport(
         particles=count,

@@ -54,6 +54,19 @@ def test_simulate_decay_writes_decay_samples_rows(tmp_path):
     assert len(t) == 50 and t[0] == 0.0 and t[-1] == 1.0
 
 
+def test_simulate_decay_with_huge_two_body_coefficient(tmp_path):
+    # beta n0 = 1e316 overflows a double; the rows stay finite and start
+    # at the scenario's density
+    cfg = tmp_path / "decay.cfg"
+    cfg.write_text("rates.two_body_m3_per_s = 1e300\n", encoding="utf-8")
+    code, out = run_to_file(tmp_path, ["simulate-decay", "--scenario",
+                                       str(cfg)])
+    assert code == 0
+    table = parse_csv(out.read_text(encoding="utf-8"))
+    assert table.column("n0")[0] == 1e16
+    assert np.all(np.isfinite(table.data)) and np.all(table.data >= 0)
+
+
 def test_global_flags_accepted_before_subcommand(tmp_path, small_scenario):
     code, out = run_to_file(
         tmp_path, ["--scenario", small_scenario, "--seed", "5",

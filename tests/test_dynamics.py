@@ -244,6 +244,23 @@ def test_rate_model_rejects_non_finite(field, value):
         RateModel(**{field: value})
 
 
+@pytest.mark.parametrize("beta", (1e300, 1e292))
+@pytest.mark.parametrize("n0", (1e16, 3.0603e16))
+def test_decay_with_overflowing_two_body_term(beta, n0):
+    # beta n0 (1e300) or beta n0 int w (1e292) overflows a double; the
+    # density still starts at n0 exactly (1 / (1 / 3.0603e16) is not
+    # 3.0603e16) and follows the closed form, with no RuntimeWarning
+    times = np.linspace(0.0, 10.0, 101)
+    density = decay_density_at(
+        times, n0, RateModel(background_lifetime=60.0, two_body_coeff=beta,
+                             volume_growth_rate=0.1))
+    assert density[0] == n0
+    assert np.all(np.isfinite(density)) and np.all(density > 0)
+    np.testing.assert_allclose(
+        density[1:], closed_form_decay(times[1:], n0, 60.0, beta, 0.1),
+        rtol=1e-11)
+
+
 @pytest.mark.parametrize("density", (math.nan, math.inf, 0.0, -1.0))
 def test_decay_rejects_bad_initial_density(density):
     with pytest.raises(ValueError, match="initial_density"):

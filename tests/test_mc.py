@@ -16,6 +16,10 @@ from mtload import (MotCloud, PumpingDistribution, QuadrupoleField,
 from mtload.constants import K_B, MU_B
 from mtload.mc import ZEEMAN_M_VALUES, seed_stream
 
+# the documented block of simulate_transfer: its draws come 2**17 trapped
+# atoms at a time, G_r for the block and then G_v for the block
+BLOCK = 2**17
+
 
 def mot(sigma=200e-6, t=300e-6):
     return MotCloud(size_sigma=sigma, temperature=t, atom_number=1e7)
@@ -116,8 +120,8 @@ class RecordingGenerator:
         self.counts = self.rng.multinomial(n, pvals)
         return self.counts
 
-    def standard_gamma(self, shape, size):
-        return self.rng.standard_gamma(shape, size)
+    def standard_gamma(self, shape, size=None, out=None):
+        return self.rng.standard_gamma(shape, size, out=out)
 
 
 def assert_matches_choice(cr, field, dist, count, seed):
@@ -343,13 +347,19 @@ def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
                                                      rel=0.02), err
 
 
-@pytest.mark.parametrize("count", [65535, 65536, 65537, 131079])
-@pytest.mark.parametrize("dist", [
-    PumpingDistribution.uniform(), PumpingDistribution.point(4),
-], ids=["uniform", "m4"])
+@pytest.mark.parametrize("dist, count", [
+    pytest.param(dist, count, id=f"{name}-{count}")
+    for name, dist, counts in (
+        ("uniform", PumpingDistribution.uniform(),
+         (65535, 65536, 65537, 131079)),
+        ("m4", PumpingDistribution.point(4),
+         (65535, 65536, 65537, 131079,
+          BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7)))
+    for count in counts])
 def test_transfer_matches_oracle_across_chunks(cr, field, dist, count):
-    # counts at, beside and past the 2**16-atom block edges of the streamed
-    # sampler that this one replaced
+    # every atom of point(4) is trapped, so its counts sit at, beside and
+    # past the 2**17-atom block edges, and 2 * BLOCK + 7 makes three
+    # blocks; the 2**16 edges of an earlier streamed sampler stay covered
     assert_matches_oracle(mot(), dist, field, cr, count, 5)
 
 
@@ -375,15 +385,19 @@ def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
 
 def audit_of_draws(cloud, dist, fld, species, count, rng, block):
     """simulate_transfer's draws audited the plain way: a substate per
-    atom, and each atom's radius and energy computed ``block`` atoms at a
-    time, so the substate segments start and end inside blocks."""
+    atom, the gamma draws taken in the documented block order, and each
+    atom's radius and energy computed ``block`` atoms at a time, so the
+    substate segments start and end inside blocks."""
     p = np.asarray(dist.probabilities)
     m = np.repeat(np.array(ZEEMAN_M_VALUES), rng.multinomial(count,
                                                             p / p.sum()))
     m = m[m > 0]
     n = len(m)
-    g_r = rng.standard_gamma(1.5, n)
-    g_v = rng.standard_gamma(1.5, n)
+    g_r, g_v = np.empty(n), np.empty(n)
+    for start in range(0, n, BLOCK):
+        size = min(BLOCK, n - start)
+        g_r[start:start + size] = rng.standard_gamma(1.5, size)
+        g_v[start:start + size] = rng.standard_gamma(1.5, size)
     radius, total = np.empty(n), np.empty(n)
     for start in range(0, n, block):
         atoms = slice(start, start + block)
@@ -396,27 +410,36 @@ def audit_of_draws(cloud, dist, fld, species, count, rng, block):
 
 
 @pytest.mark.parametrize("chunk", [7, 65536])
-@pytest.mark.parametrize("count", [1000, 131079])
+@pytest.mark.parametrize("count", [1000, BLOCK, 131079, 3 * BLOCK + 5])
 @pytest.mark.parametrize("dist", [
     PumpingDistribution.uniform(), PumpingDistribution.point(4), UPPER,
 ], ids=["uniform", "m4", "upper"])
 def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
                                                       chunk):
     # the in-place, segment-wise arithmetic gives the same floats as the
-    # per-atom audit of the same draws: ==, not a tolerance
+    # per-atom audit of the same draws: ==, not a tolerance, while the
+    # trapped atoms fit in one block; past it the merged block moments sum
+    # in another order than numpy's two passes, so they agree to 1e-15
     rng = seed_stream(29, "bits")
     n, total, radius = audit_of_draws(mot(), dist, field, cr, count, rng,
                                       chunk)
     sampled_rng = seed_stream(29, "bits")
     report = simulate_transfer(mot(), dist, field, cr, count, sampled_rng)
     assert report.trapped == n
-    assert report.temperature_mc == 2.0 * float(total.mean()) / (9.0 * K_B)
-    assert report.temperature_stderr == (
-        2.0 * float(total.std(ddof=1)) / (9.0 * K_B * math.sqrt(n)))
-    assert report.mean_radius == float(radius.mean())
-    assert report.mean_radius_stderr == (float(radius.std(ddof=1))
-                                         / math.sqrt(n))
     assert sampled_rng.bit_generator.state == rng.bit_generator.state
+    expected = {
+        "temperature_mc": 2.0 * float(total.mean()) / (9.0 * K_B),
+        "temperature_stderr": (2.0 * float(total.std(ddof=1))
+                               / (9.0 * K_B * math.sqrt(n))),
+        "mean_radius": float(radius.mean()),
+        "mean_radius_stderr": float(radius.std(ddof=1)) / math.sqrt(n),
+    }
+    for name, value in expected.items():
+        if n <= BLOCK:
+            assert getattr(report, name) == value, name
+        else:
+            assert getattr(report, name) == pytest.approx(value, rel=1e-15,
+                                                          abs=0.0), name
 
 
 @settings(max_examples=100, deadline=None)
@@ -476,9 +499,8 @@ def test_transfer_report_property(cr, sigma, temperature, gradient, weights,
     PumpingDistribution.point(4), PumpingDistribution.uniform(),
 ], ids=["m4", "uniform"])
 def test_transfer_peak_memory_per_particle(cr, field, dist):
-    # no (n, 3) array and no substate array: the radius and energy arrays
-    # of the trapped atoms and the statistics' temporary, 24 B per trapped
-    # particle
+    # no (n, 3) array and no substate array: at most three buffers of
+    # min(n, BLOCK) floats, 24 B per trapped particle below one block
     count = 200_000
     tracemalloc.start()
     try:
@@ -490,6 +512,25 @@ def test_transfer_peak_memory_per_particle(cr, field, dist):
     assert peak / count < 48
 
 
+@pytest.mark.parametrize("dist", [PumpingDistribution.point(4), UPPER],
+                         ids=["m4", "upper"])
+def test_transfer_peak_memory_is_constant_in_the_count(cr, field, dist):
+    # every atom is trapped, so both counts fill whole blocks: the three
+    # block buffers make the peak at 1e6 atoms that of a call just past one
+    # block, and at most 4 MiB
+    peaks = {}
+    for count in (BLOCK + 1, 1_000_000):
+        tracemalloc.start()
+        try:
+            simulate_transfer(mot(), dist, field, cr, count,
+                              seed_stream(28, "constant"))
+            peaks[count] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1_000_000] <= 4 * 2**20
+    assert peaks[1_000_000] <= 1.1 * peaks[BLOCK + 1]
+
+
 @given(count=st.integers(-3, 0))
 def test_transfer_rejects_count_below_one(cr, count):
     rng = seed_stream(27, "count")
@@ -498,6 +539,30 @@ def test_transfer_rejects_count_below_one(cr, count):
         simulate_transfer(mot(), PumpingDistribution.point(4),
                           QuadrupoleField(0.1), cr, count, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("count", [
+    100000.7, 1e5, True, False, np.True_, np.float64(1000), "1000", None,
+], ids=["100000.7", "1e5", "True", "False", "np.True_", "np.float64",
+        "str", "None"])
+def test_transfer_rejects_non_integral_count(cr, count):
+    # a float would run its integer part of atoms and report the float; a
+    # bool is an int to Python but not a count
+    rng = seed_stream(27, "integral")
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match="count"):
+        simulate_transfer(mot(), PumpingDistribution.point(4),
+                          QuadrupoleField(0.1), cr, count, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16])
+def test_transfer_accepts_numpy_integer_count(cr, field, integer):
+    report = simulate_transfer(mot(), UPPER, field, cr, integer(1000),
+                               seed_stream(27, "numpy"))
+    assert report == simulate_transfer(mot(), UPPER, field, cr, 1000,
+                                       seed_stream(27, "numpy"))
+    assert type(report.particles) is int
 
 
 # ---------------------------------------------- failures and concurrency
@@ -513,11 +578,11 @@ class FailingGenerator:
     def multinomial(self, n, pvals):
         return self.rng.multinomial(n, pvals)
 
-    def standard_gamma(self, shape, size):
+    def standard_gamma(self, shape, size=None, out=None):
         self.calls += 1
         if self.calls == 2:
             raise self.error
-        return self.rng.standard_gamma(shape, size)
+        return self.rng.standard_gamma(shape, size, out=out)
 
 
 def test_draw_failure_reaches_the_caller_unchanged(cr, field):
