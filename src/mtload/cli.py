@@ -7,8 +7,8 @@ fit, mc-transfer. Global flags: --scenario <path>, --seed <u64>,
 Exit codes: 0 success, 2 configuration or input-data error (a bad
 scenario, a missing column, a non-finite value, too few samples, a time
 axis that does not increase, degenerate data), 3 numeric failure (fit
-convergence, an untrapped cloud, or a non-finite value in the output
-table), 4 I/O error.
+convergence, an untrapped cloud, an image sag that is undetermined or
+points upwards, or a non-finite value in the output table), 4 I/O error.
 """
 
 import argparse

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -7,7 +8,8 @@ import pytest
 
 from mtload import cli, pipelines
 from mtload.cli import main
-from mtload.estimation import image_to_table, render_density_image
+from mtload.estimation import (DensityImage, image_to_table,
+                               render_density_image)
 from mtload.leastsq import FitResult
 from mtload.tables import ResultTable, parse_csv
 
@@ -346,6 +348,22 @@ def test_fit_input_data_error_exit_code(tmp_path, capsys, fitter, text,
     assert not out.exists()
 
 
+def test_fit_density_image_with_one_row_is_numeric_failure(tmp_path,
+                                                          capsys):
+    # a 1 x 5 crop of a cloud image: one pixel along y does not determine
+    # the sag; the fit once exited 0 here with a negative density
+    image = render_density_image(1e16, 3000.0, 700.0, 4e-5, (32, 32))
+    crop = DensityImage(image.values[:1, :5], image.pitch, image.axes)
+    data = tmp_path / "crop.csv"
+    data.write_text(image_to_table(crop).to_csv(), encoding="utf-8")
+    out = tmp_path / "fit.csv"
+    out.write_text("previous\n", encoding="utf-8")
+    assert main(["fit", "density-image", str(data), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "shape_g" in err
+    assert out.read_text(encoding="utf-8") == "previous\n"
+
+
 def test_fit_unknown_image_mode_is_config_error(tmp_path, capsys):
     image = render_density_image(1e16, 5e3, 2e2, pitch=2e-5, shape=(8, 8))
     text = image_to_table(image).to_csv()
@@ -400,12 +418,6 @@ def test_rerun_of_embedded_scenario_is_identical(tmp_path, small_scenario):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def _fresh_python(code):
-    """Run ``code`` in a new interpreter that imports this mtload."""
-    return subprocess.run([sys.executable, "-c", code], env=_fresh_env(),
-                          capture_output=True, text=True, check=True).stdout
-
-
 def test_version_matches_output_header(capsys):
     import mtload
 
@@ -414,8 +426,52 @@ def test_version_matches_output_header(capsys):
     assert header == f"# mtload-version = {mtload.__version__}"
 
 
-def test_import_loads_no_scipy():
-    loaded = _fresh_python(
-        "import sys, mtload; print(sorted(m for m in sys.modules "
-        "if m == 'scipy' or m.startswith('scipy.')))")
-    assert loaded.strip() == "[]"
+_NO_HEAVY_IMPORTS = """
+import json, sys
+import mtload
+from mtload import QuadrupoleField, chromium52, cli, estimation
+
+def heavy():
+    return sorted(m for m in sys.modules
+                  if m.partition('.')[0] == 'scipy'
+                  or m == 'numpy.polynomial'
+                  or m.startswith('numpy.polynomial.'))
+
+report = {'import mtload': heavy()}
+image = estimation.render_density_image(1e16, 3000.0, 700.0, 4e-5, (16, 16))
+report['render_density_image'] = heavy()
+estimation.fit_density_image(image, QuadrupoleField(0.15), chromium52())
+report['fit_density_image'] = heavy()
+with open('image.csv', 'w', encoding='utf-8') as fh:
+    fh.write(estimation.image_to_table(image).to_csv())
+commands = [
+    ['simulate-loading', '--out', 'loading.csv'],
+    ['simulate-decay', '--out', 'decay.csv'],
+    ['figure2', '--out', 'rates_vs_motsize.csv'],
+    ['figure3', '--out', 'decayrates_vs_density.csv'],
+    ['figure4', '--out', 'temperatures_vs_lightshift.csv'],
+    ['mc-transfer', '--out', 'transfer_check.csv'],
+    ['fit', 'loading-curve', 'loading.csv', '--out', 'fit1.csv'],
+    ['fit', 'two-body', 'decay.csv', '--out', 'fit2.csv'],
+    ['fit', 'linear', 'decayrates_vs_density.csv', '--out', 'fit3.csv'],
+    ['fit', 'density-image', 'image.csv', '--mode', 'projection',
+     '--out', 'fit4.csv'],
+]
+for args in commands:
+    code = cli.main(args + ['--scenario', sys.argv[1]])
+    stage = ' '.join(args[:2]) if args[0] == 'fit' else args[0]
+    report[stage] = heavy() if code == 0 else f'exit {code}'
+print(json.dumps(report))
+"""
+
+
+def test_import_loads_no_scipy(tmp_path, small_scenario):
+    # neither importing mtload nor any of the README's ten commands, nor
+    # rendering or fitting an image, loads scipy or numpy.polynomial
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_HEAVY_IMPORTS, small_scenario],
+        env=_fresh_env(), cwd=tmp_path, capture_output=True, text=True,
+        check=True)
+    report = json.loads(proc.stdout)
+    assert len(report) == 13
+    assert report == {stage: [] for stage in report}

@@ -8,6 +8,7 @@ from scipy import integrate
 from mtload import (cross_section_from_beta, excited_mot_density,
                     mean_collision_velocity, mot_on_decay_rate,
                     overlap_correction)
+from mtload.collisions import GAUSS_NODES, GAUSS_WEIGHTS
 
 
 def nested_quadrature_overlap(q):
@@ -29,6 +30,15 @@ def nested_quadrature_overlap(q):
                                    lambda rho: -span, lambda rho: span,
                                    epsabs=1e-12, epsrel=1e-10)
     return val
+
+
+def test_gauss_rule_is_leggauss():
+    # the committed half rule, mirrored, is numpy's rule bit for bit
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(32)
+    assert np.array_equal(GAUSS_NODES, nodes)
+    assert np.array_equal(GAUSS_WEIGHTS, weights)
 
 
 def test_velocity_reference_value(cr):

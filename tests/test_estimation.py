@@ -1,8 +1,10 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from mtload import (DensityImage, GravityAxisError, InputDataError,
                     QuadrupoleField, RateModel, fit_density_image, fit_linear,
@@ -10,6 +12,7 @@ from mtload import (DensityImage, GravityAxisError, InputDataError,
                     render_density_image, shape_params)
 from mtload.constants import G_ACCEL, K_B, MU_B
 from mtload.dynamics import decay_density_at
+from mtload import estimation
 from mtload.estimation import (SampleSeries, image_from_table,
                                image_to_table, profile_model)
 from mtload.mc import seed_stream
@@ -266,6 +269,188 @@ def test_profile_model_kernel_limit():
     vals = profile_model(image, 1e16, 2000.0, 0.0)
     # center pixel sits at rho=0 where the kernel limit applies
     assert vals[1, 1] == pytest.approx(1e16 / 2000.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name,n0,shape_b", [
+    ("shape_b", 1e16, 0.0), ("shape_b", 1e16, -2000.0),
+    ("shape_b", 1e16, math.nan), ("shape_b", 1e16, math.inf),
+    ("n0", 0.0, 2000.0), ("n0", -1e16, 2000.0), ("n0", math.nan, 2000.0),
+])
+def test_profile_model_rejects_non_physical_parameters(name, n0, shape_b):
+    image = DensityImage(np.ones((3, 3)), pitch=1e-4)
+    for mode in ("projection", "slice"):
+        with pytest.raises(ValueError, match=name):
+            profile_model(image, n0, shape_b, 0.0, mode)
+
+
+@pytest.mark.parametrize("axes,mode", [
+    (("y", "x"), "projection"),
+    (("y", "z"), "projection"),
+    (("y", "x"), "slice"),
+])
+def test_image_model_equals_profile_model(cr, axes, mode):
+    # the fit builds the pixel geometry once and evaluates it many times;
+    # every evaluation must be exactly profile_model's
+    _, _, b_shape, g_shape = reference_cloud(cr)
+    image = render_density_image(1e16, b_shape, g_shape, pitch=4e-5,
+                                 shape=(17, 12), axes=axes, mode=mode)
+    model = estimation._image_model(image, mode)
+    for n0, shape_b, shape_g in ((1e16, b_shape, g_shape),
+                                 (3e15, 0.5 * b_shape, 2.0 * g_shape),
+                                 (1e16, b_shape, -g_shape),
+                                 (1e16, b_shape, g_shape)):
+        assert np.array_equal(model(n0, shape_b, shape_g),
+                              profile_model(image, n0, shape_b, shape_g,
+                                            mode))
+
+
+@pytest.mark.parametrize("axes,mode", [
+    (("y", "x"), "projection"),
+    (("y", "z"), "projection"),
+    (("y", "x"), "slice"),
+])
+def test_image_fit_refuses_non_positive_steps(cr, monkeypatch, axes, mode):
+    # on this small, tightly cropped image the first Gauss-Newton step
+    # takes shape_b below zero; the fit refuses it and still converges
+    fld = QuadrupoleField(0.1)
+    b_shape, g_shape = shape_params(80e-6, 3 * MU_B, fld, cr)
+    image = render_density_image(1e16, b_shape, g_shape,
+                                 pitch=1.4 / (b_shape * 8), shape=(8, 8),
+                                 axes=axes, mode=mode)
+    proposed = []
+    build = estimation._image_model
+    fit = estimation.least_squares
+
+    def checked_model(*args):
+        model = build(*args)
+
+        def evaluate(n0, shape_b, shape_g):
+            assert n0 > 0 and shape_b > 0
+            return model(n0, shape_b, shape_g)
+
+        return evaluate
+
+    def spied_fit(residual, *args, **kwargs):
+        def spy(p):
+            proposed.append(min(p[0], p[1]))
+            return residual(p)
+
+        return fit(spy, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "_image_model", checked_model)
+    monkeypatch.setattr(estimation, "least_squares", spied_fit)
+    res = fit_density_image(image, fld, cr, mode=mode)
+    assert min(proposed) <= 0
+    assert res.params["shape_b"] == pytest.approx(b_shape, rel=1e-8)
+    assert res.params["n0"] == pytest.approx(1e16, rel=1e-8)
+
+
+def test_image_fit_with_one_row_names_shape_g(cr):
+    # one pixel along y: the sag is not determined by the image
+    image = render_density_image(1e16, 3000.0, 700.0, pitch=4e-5,
+                                 shape=(32, 32))
+    for values, axes in ((image.values[:1, :5], ("y", "x")),
+                         (image.values[:5, :1], ("x", "y"))):
+        crop = DensityImage(values, image.pitch, axes)
+        with pytest.raises(GravityAxisError, match="shape_g"):
+            fit_density_image(crop, QuadrupoleField(0.15), cr)
+
+
+# -------------------------------------------------------- Bessel kernel
+
+
+def mpmath_kernel(u):
+    """u K1(u) to 40 digits, rounded once to double."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(float(u))
+        return float(x * mpmath.besselk(1, x))
+
+
+def kernel_grid():
+    """(0, 700] on a log grid, the series' tiny-t region, both sides of the
+    branch edge at u = 2 and the bulk of each branch."""
+    edge = [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]
+    return np.concatenate([np.geomspace(1e-300, 700.0, 61),
+                           [5e-324, 1e-160, 1e-150, 1e-140], edge,
+                           np.linspace(0.05, 1.95, 20),
+                           np.linspace(2.1, 40.0, 20)])
+
+
+def test_kernel_matches_mpmath():
+    u = kernel_grid()
+    expected = np.array([mpmath_kernel(v) for v in u])
+    got = estimation._bessel_kernel(u)
+    assert np.all(np.abs(got - expected) <= 2e-15 * expected)
+
+
+def test_kernel_matches_scipy():
+    # below about 1e-308 scipy's K1(u) overflows, so the grid starts above
+    u = np.concatenate([np.geomspace(1e-300, 700.0, 20001),
+                        np.linspace(1e-3, 40.0, 20001),
+                        [np.nextafter(2.0, 0.0), 2.0, np.nextafter(2.0, 3.0)]])
+    expected = u * special.k1(u)
+    got = estimation._bessel_kernel(u)
+    assert np.all(np.abs(got - expected) <= 2e-15 * expected)
+
+
+def test_kernel_where_it_underflows():
+    # beyond u = 708 e^-u is subnormal; the kernel still rounds to within
+    # one unit of the smallest subnormal, and is 0 from about u = 748 on
+    u = np.array([700.5, 705.0, 708.0, 709.0, 712.0, 720.0, 735.0, 745.0,
+                  747.0, 748.0, 750.0, 800.0, 1e3, 1e6, 1e300])
+    expected = np.array([mpmath_kernel(v) for v in u])
+    got = estimation._bessel_kernel(u)
+    tiny = np.nextafter(0.0, 1.0)
+    assert np.all(np.abs(got - expected) <= 2e-15 * expected + tiny)
+    assert got[-4:].tolist() == [0.0] * 4
+
+
+def test_kernel_limits_and_domain():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = estimation._bessel_kernel(
+            np.array([0.0, 5e-324, 1e-300, math.inf]))
+    assert got.tolist() == [1.0, 1.0, 1.0, 0.0]
+    for bad in (-1.0, -5e-324, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="u >= 0"):
+            estimation._bessel_kernel(np.array([1.0, bad]))
+
+
+def test_kernel_series_coefficients_are_correctly_rounded():
+    # R's coefficients are -(psi(j+1) + psi(j+2)) / (j! (j+1)!)
+    p, r = estimation._SERIES_P[::-1], estimation._SERIES_R[::-1]
+    with mpmath.workdps(40):
+        for j, (pj, rj) in enumerate(zip(p, r)):
+            den = mpmath.factorial(j) * mpmath.factorial(j + 1)
+            assert pj == float(1 / den)
+            assert rj == float(-(mpmath.digamma(j + 1)
+                                 + mpmath.digamma(j + 2)) / den)
+
+
+def chebyshev_coefficients(terms):
+    """Interpolant of sqrt(u) e^u K1(u) in x = 4/u - 1 at the Chebyshev
+    points of the first kind, in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        nodes = [mpmath.cos(mpmath.pi * (k + mpmath.mpf(1) / 2) / terms)
+                 for k in range(terms)]
+        values = []
+        for x in nodes:
+            u = 4 / (x + 1)
+            values.append(mpmath.sqrt(u) * mpmath.exp(u)
+                          * mpmath.besselk(1, u))
+        coefficients = []
+        for j in range(terms):
+            c = 2 * mpmath.fsum(
+                v * mpmath.cos(mpmath.pi * j * (k + mpmath.mpf(1) / 2)
+                               / terms)
+                for k, v in enumerate(values)) / terms
+            coefficients.append(float(c / 2 if j == 0 else c))
+    return tuple(coefficients)
+
+
+def test_kernel_chebyshev_coefficients_regenerate():
+    committed = estimation._CHEBYSHEV
+    assert chebyshev_coefficients(len(committed)) == committed
 
 
 # ------------------------------------------------------------ two-body
