@@ -21,7 +21,7 @@ from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B, MU_B
 from .dynamics import RateModel, decay_density_at
 from .errors import GravityAxisError, InputDataError
-from .leastsq import FitResult, least_squares
+from .leastsq import FitResult, _covariance, least_squares
 from .species import SpeciesData
 
 _AXIS_LABELS = ("x", "y", "z")
@@ -187,35 +187,38 @@ def _bessel_kernel(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pixel_geometry(image: DensityImage):
+    """(y, radial, scale) on the image's pixels, for the model and its
+    initial guess alike. |B| = b sqrt(x^2 + y^2 + 4 z^2), so the image
+    axis c next to y counts twice (scale = 2) if it is the coil axis z and
+    once if it is x, and radial = sqrt(y^2 + (scale c)^2): the field's
+    distance in a slice, the kernel's transverse distance in a
+    projection."""
+    c0, c1 = image.coordinates()
+    coords = {image.axes[0]: c0, image.axes[1]: c1}
+    y = coords["y"]
+    other = next(a for a in image.axes if a != "y")
+    scale = 2.0 if other == "z" else 1.0
+    return y, np.hypot(scale * coords[other], y), scale
+
+
 def _image_model(image: DensityImage, mode: str):
     """profile_model as a function of (n0, shape_b, shape_g) alone: the
     pixel geometry is computed once, for a fit's repeated evaluations.
     Each evaluation makes the same floating-point operations in the same
     order as profile_model, so their values are identical."""
-    c0, c1 = image.coordinates()
-    coords = {image.axes[0]: c0, image.axes[1]: c1}
-    y = coords["y"]
+    if mode not in ("projection", "slice"):
+        raise ValueError(f"unknown mode {mode!r}")
+    y, radial, scale = _pixel_geometry(image)
     if mode == "slice":
-        other = next(a for a in image.axes if a != "y")
-        scale = 2.0 if other == "z" else 1.0
-        r = np.sqrt(coords[other] ** 2 * scale ** 2 + y ** 2)
-
         def slice_model(n0, shape_b, shape_g):
-            return n0 * np.exp(-shape_b * r - shape_g * y)
+            return n0 * np.exp(-shape_b * radial - shape_g * y)
 
         return slice_model
-    if mode != "projection":
-        raise ValueError(f"unknown mode {mode!r}")
-    if image.line_of_sight == "z":
-        rho = np.hypot(coords["x"], y)
-        scale = 1.0
-    else:  # integrate along x; the remaining transverse coordinate is z
-        rho = np.sqrt(y ** 2 + 4.0 * coords["z"] ** 2)
-        scale = 2.0
 
     def projection_model(n0, shape_b, shape_g):
         front = scale * n0 / shape_b
-        return front * np.exp(-shape_g * y) * _bessel_kernel(shape_b * rho)
+        return front * np.exp(-shape_g * y) * _bessel_kernel(shape_b * radial)
 
     return projection_model
 
@@ -313,8 +316,11 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
 
     Residuals are weighted by the sample uncertainties when the series has
     them, plain otherwise. Initial guesses: N0 from the largest sample,
-    tau from the first time the curve reaches (1 - 1/e) of it. If the
-    fitted tau exceeds the data span the result is flagged low-confidence
+    tau from the first time the curve reaches (1 - 1/e) of it. N0 and tau
+    stay positive: a step that would take either to zero or below is
+    refused and shortened. Data without a positive sample have no start
+    point inside that domain and raise InputDataError. If the fitted tau
+    exceeds the data span the result is flagged low-confidence
     (extras['low_confidence']).
     """
     data.require_time_axis()
@@ -325,6 +331,9 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
     if np.allclose(y, y[0]):
         raise InputDataError("degenerate data: all samples equal")
     n0_guess = float(np.max(y))
+    if n0_guess <= 0:
+        raise InputDataError("no sample is positive, so the fit has no "
+                             "start point with N0 > 0")
     target = (1.0 - 1.0 / math.e) * n0_guess
     above = np.nonzero(y >= target)[0]
     span = float(t[-1] - t[0])
@@ -332,13 +341,15 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
     if tau_guess <= 0:
         tau_guess = span / len(t)
     weight = 1.0 if data.y_sigma is None else 1.0 / data.y_sigma
+    refused = np.full(t.size, math.inf)
 
     def residual(p):
         n0, tau = p
+        if not (n0 > 0.0 and tau > 0.0):
+            return refused
         return (n0 * -np.expm1(-t / tau) - y) * weight
 
-    result = least_squares(residual, [n0_guess, tau_guess], ("N0", "tau"),
-                           lower_bounds=[0.0, 1e-300])
+    result = least_squares(residual, [n0_guess, tau_guess], ("N0", "tau"))
     n0, tau = result.params["N0"], result.params["tau"]
     result.extras["R"] = n0 / tau
     if tau > span:
@@ -348,7 +359,9 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
 
 def fit_linear(data: SampleSeries) -> FitResult:
     """Straight-line least squares, uncertainty-weighted when sigmas are
-    present. Closed form, no iteration."""
+    present. Closed form, no iteration. Unweighted, the covariance is
+    least_squares' (scaled by the reduced chi-square); weighted, it takes
+    the sigmas as absolute."""
     x, y = data.x, data.y
     if len(x) < 3:
         raise InputDataError("need at least 3 points for a line fit")
@@ -362,10 +375,10 @@ def fit_linear(data: SampleSeries) -> FitResult:
     coef = np.linalg.solve(normal, rhs)
     resid = y - design @ coef
     ssr_w = float(resid @ (w * resid))
-    cov = np.linalg.inv(normal)
     if data.y_sigma is None:
-        dof = len(x) - 2
-        cov = cov * (ssr_w / dof if dof > 0 else 0.0)
+        cov = _covariance(design, ssr_w)
+    else:
+        cov = np.linalg.inv(normal)
     stderr = np.sqrt(np.diag(cov))
     return FitResult(
         params={"slope": float(coef[0]), "intercept": float(coef[1])},
@@ -377,18 +390,11 @@ def fit_linear(data: SampleSeries) -> FitResult:
 
 
 def _image_initial_guess(image: DensityImage, mode: str):
-    c0, c1 = image.coordinates()
-    coords = {image.axes[0]: c0, image.axes[1]: c1}
-    y = coords["y"]
+    y, radial, scale = _pixel_geometry(image)
     v = image.values
     total = float(v.sum())
     if total <= 0:
         raise InputDataError("degenerate image: all pixels zero")
-    if mode == "projection" and image.line_of_sight == "x":
-        radial = np.sqrt(y ** 2 + 4.0 * coords["z"] ** 2)
-    else:
-        other = next(a for a in image.axes if a != "y")
-        radial = np.hypot(coords[other], y)
     r_mean = float((v * radial).sum() / total)
     if r_mean <= 0:
         raise InputDataError("degenerate image: no spatial extent")
@@ -396,18 +402,15 @@ def _image_initial_guess(image: DensityImage, mode: str):
     # 2/B for the slice profile
     b0 = (3.0 * math.pi / 4.0) / r_mean if mode == "projection" else 2.0 / r_mean
     peak = float(v.max())
-    if mode == "slice":
-        n0_0 = peak
-    elif image.line_of_sight == "z":
-        n0_0 = peak * b0
-    else:
-        n0_0 = peak * b0 / 2.0
+    n0_0 = peak if mode == "slice" else peak * b0 / scale
     # sag from the vertical log-asymmetry one mean radius above/below the
     # horizontal center of the image
-    axis0_is_y = image.axes[0] == "y"
-    vert_coords = c0[:, 0] if axis0_is_y else c1[0, :]
-    j_mid = (v.shape[1] if axis0_is_y else v.shape[0]) // 2
-    column = v[:, j_mid] if axis0_is_y else v[j_mid, :]
+    if image.axes[0] == "y":
+        j_mid = v.shape[1] // 2
+        vert_coords, column = y[:, j_mid], v[:, j_mid]
+    else:
+        j_mid = v.shape[0] // 2
+        vert_coords, column = y[j_mid, :], v[j_mid, :]
     i_up = int(np.argmin(np.abs(vert_coords - r_mean)))
     i_dn = int(np.argmin(np.abs(vert_coords + r_mean)))
     g0 = 0.05 * b0
@@ -440,9 +443,6 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
     n0_0, b0, g0 = _image_initial_guess(image, mode)
     flat = image.values.ravel()
     model = _image_model(image, mode)
-    # an infinite residual makes least_squares refuse the step and shorten
-    # it. Clamping at a lower bound would not do: a slice fit can accept
-    # the flat profile at the bound and then not leave it again
     refused = np.full(flat.size, math.inf)
 
     def residual(p):
@@ -498,9 +498,11 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     then takes the exact solution of the decay equation from the first
     density sample (``decay_density_at``).
     ``t0`` comes from an independent ground-state decay measurement.
-    extras report how much the fitted beta moves when t0 is perturbed by
-    +-50% (the t0_sensitivity fraction) and whether a negative beta
-    iterate had to be clamped.
+    beta stays positive: a step that would take it to zero or below is
+    refused and shortened, so data without two-body loss give a small
+    positive beta with a finite stderr. extras report how much the fitted
+    beta moves when t0 is perturbed by +-50% (the t0_sensitivity
+    fraction).
     """
     density_series.require_time_axis()
     if t0 <= 0:
@@ -511,11 +513,14 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     if y[0] <= 0:
         raise InputDataError("first density sample must be positive")
     n_init = float(y[0])
+    refused = np.full(t.size, math.inf)
 
     def fit_beta(t0_value: float) -> FitResult:
         def residual(p):
+            if not p[0] > 0.0:
+                return refused
             model = RateModel(background_lifetime=t0_value,
-                              two_body_coeff=max(float(p[0]), 0.0),
+                              two_body_coeff=float(p[0]),
                               initial_volume=v0, volume_growth_rate=alpha)
             return decay_density_at(t, n_init, model) - y
 
@@ -525,8 +530,7 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
         rate0 = -(y[1] - y[0]) / (dt * n_init)
         excess = rate0 - 1.0 / t0_value - alpha / (1.0 + alpha * t[0])
         beta0 = max(excess / n_init, 1e-3 / (n_init * (t[-1] - t[0])))
-        return least_squares(residual, [beta0], ("beta",),
-                             lower_bounds=[0.0])
+        return least_squares(residual, [beta0], ("beta",))
 
     result = fit_beta(t0)
     beta = result.params["beta"]
@@ -534,10 +538,7 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     for factor in (1.5, 0.5):
         perturbed = fit_beta(t0 * factor).params["beta"]
         shifts.append(abs(perturbed - beta))
-    if beta > 0:
-        result.extras["t0_sensitivity"] = max(shifts) / beta
-    else:
-        result.extras["t0_sensitivity"] = float("nan")
+    result.extras["t0_sensitivity"] = max(shifts) / beta
     result.extras["volume_v0"] = v0
     result.extras["volume_alpha"] = alpha
     return result

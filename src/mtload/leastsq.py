@@ -7,6 +7,11 @@ declared converged when the relative parameter change falls below 1e-8 or
 the relative change of the residual norm below 1e-10; exhausting the
 iteration budget raises FitNotConvergedError carrying the best iterate.
 No randomized restarts: results are deterministic functions of the input.
+
+A residual that is not finite marks a point outside the model's domain. A
+step whose sum of squares is infinite or NaN is never accepted: the damping
+grows and the step shortens until it stays inside. So a fitter keeps a
+parameter in its domain by returning a non-finite residual outside it.
 """
 
 import math
@@ -75,25 +80,23 @@ def _covariance(jac: np.ndarray, ssr: float) -> np.ndarray:
 
 
 def least_squares(residual_fn, x0, names: tuple[str, ...], *,
-                  max_iter: int = DEFAULT_MAX_ITER,
-                  lower_bounds=None) -> FitResult:
+                  max_iter: int = DEFAULT_MAX_ITER) -> FitResult:
     """Minimize sum(residual_fn(x)^2) starting at x0.
 
-    ``lower_bounds`` (optional, per parameter) clamps trial iterates from
-    below; a clamp that actually fired is flagged in
-    ``extras['clamped']``.
+    Every accepted iterate has a finite sum of squares, so the fit stays in
+    the domain on which residual_fn is finite. x0 must lie inside it: a
+    ValueError is raised when the sum of squares at x0 is not finite.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or len(names) != x.size:
         raise ValueError("x0 and names must have matching lengths")
-    bounds = None if lower_bounds is None else np.asarray(lower_bounds, float)
-    if bounds is not None:
-        x = np.maximum(x, bounds)
 
     r = np.asarray(residual_fn(x), dtype=float)
     ssr = float(r @ r)
+    if not math.isfinite(ssr):
+        raise ValueError(f"the residual at the start point {x.tolist()} is "
+                         "not finite: it lies outside the model's domain")
     lam = _LAMBDA0
-    clamped = False
     converged = False
     iterations = 0
 
@@ -111,13 +114,9 @@ def least_squares(residual_fn, x0, names: tuple[str, ...], *,
                 lam *= _LAMBDA_GROW
                 continue
             x_new = x + step
-            if bounds is not None:
-                x_clamped = np.maximum(x_new, bounds)
-                if np.any(x_clamped != x_new):
-                    clamped = True
-                x_new = x_clamped
             r_new = np.asarray(residual_fn(x_new), dtype=float)
             ssr_new = float(r_new @ r_new)
+            # False for an infinite or NaN ssr_new: the step is refused
             if ssr_new <= ssr:
                 accepted = True
                 break
@@ -143,7 +142,6 @@ def least_squares(residual_fn, x0, names: tuple[str, ...], *,
         residual_norm=math.sqrt(ssr),
         converged=converged,
         iterations=iterations,
-        extras={"clamped": clamped} if clamped else {},
     )
     if not converged:
         raise FitNotConvergedError(

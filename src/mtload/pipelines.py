@@ -25,21 +25,16 @@ class LoadingContext:
     """All intermediate quantities of one loading configuration."""
 
     p_e: float
-    efficiency: float
-    mu_bar: float
     t_mt: float
     shape_b: float
-    shape_g: float
     volume: float
     n_e: float
     v_bar: float
-    gamma_background: float
     gamma_total: float
     rate: float
 
 
-def loading_context(sc: Scenario, detuning_linewidths: float | None = None,
-                    efficiency: float | None = None,
+def loading_context(sc: Scenario,
                     n_mot: float | None = None) -> LoadingContext:
     """Compose excitation, cloud geometry, and collision kinematics into
     the loading rate R and total decay rate Gamma for one configuration."""
@@ -48,24 +43,22 @@ def loading_context(sc: Scenario, detuning_linewidths: float | None = None,
     mot = sc.mot_cloud()
     if n_mot is None:
         n_mot = mot.atom_number
-    light = sc.light_field(detuning_linewidths, species)
+    light = sc.light_field(species=species)
     p_e = excitation.excitation_probability(light, species)
-    eta = sc["transfer.efficiency"] if efficiency is None else efficiency
-    mu_bar = sc.mu_bar(species)
     t_mt = sc.mt_temperature(species)
-    shape_b, shape_g = cloud.shape_params(t_mt, mu_bar, field, species)
+    shape_b, shape_g = cloud.shape_params(t_mt, sc.mu_bar(species), field,
+                                          species)
     volume = cloud.effective_volume(shape_b, shape_g)
     n_e = collisions.excited_mot_density(n_mot, p_e, volume)
     v_bar = collisions.mean_collision_velocity(mot.temperature, t_mt, species)
-    gamma_bg = sc["rates.mot_on_background_rate_per_s"]
     sigma_eff = sc["rates.sigma_ed_m2"] * sc["rates.overlap_factor"]
-    gamma_total = dynamics.mot_on_decay_rate(n_e, sigma_eff, v_bar, gamma_bg)
-    rate = excitation.transfer_rate(n_mot, p_e, species, eta)
+    gamma_total = dynamics.mot_on_decay_rate(
+        n_e, sigma_eff, v_bar, sc["rates.mot_on_background_rate_per_s"])
+    rate = excitation.transfer_rate(n_mot, p_e, species,
+                                    sc["transfer.efficiency"])
     return LoadingContext(
-        p_e=p_e, efficiency=eta, mu_bar=mu_bar, t_mt=t_mt,
-        shape_b=shape_b, shape_g=shape_g, volume=volume, n_e=n_e,
-        v_bar=v_bar, gamma_background=gamma_bg, gamma_total=gamma_total,
-        rate=rate,
+        p_e=p_e, t_mt=t_mt, shape_b=shape_b, volume=volume, n_e=n_e,
+        v_bar=v_bar, gamma_total=gamma_total, rate=rate,
     )
 
 

@@ -237,10 +237,6 @@ def _validate(values: dict) -> None:
     require(values["noise.sigma_rel"] >= 0, "noise.sigma_rel",
             "must be >= 0")
     require(values["seed"] >= 0, "seed", "must be a nonnegative integer")
-    for key in ("figure2.detunings_linewidths", "figure2.efficiencies",
-                "figure2.atom_numbers", "figure3.atom_numbers",
-                "figure4.lightshift"):
-        require(len(values[key]) > 0, key, "sweep must be nonempty")
     require(len(values["figure2.efficiencies"])
             == len(values["figure2.detunings_linewidths"]),
             "figure2.efficiencies",

@@ -262,6 +262,31 @@ def test_fit_two_body_round_trip(tmp_path, small_scenario):
     assert abs(beta / 7e-17 - 1) < 1e-3
 
 
+@pytest.mark.parametrize("seed", [4, 6, 7])
+def test_fit_two_body_without_two_body_loss(tmp_path, seed):
+    # beta = 0 with 1% noise: the best beta lies at the edge of beta > 0.
+    # The fit stays inside by refusing steps and reports a small positive
+    # beta with a stderr on the scale of the noise, not a NaN row
+    cfg = tmp_path / "b0.cfg"
+    cfg.write_text("rates.two_body_m3_per_s = 0\nnoise.sigma_rel = 0.01\n",
+                   encoding="utf-8")
+    args = ["--scenario", str(cfg), "--seed", str(seed)]
+    code, data = run_to_file(tmp_path, ["simulate-decay"] + args, "d.csv")
+    assert code == 0
+    code, fit_out = run_to_file(
+        tmp_path, ["fit", "two-body", str(data)] + args, "fit.csv")
+    assert code == 0
+    text = fit_out.read_text(encoding="utf-8")
+    rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
+            for line in text.splitlines()[-4:]}
+    assert list(rows) == ["beta", "t0_sensitivity", "volume_v0",
+                          "volume_alpha"]
+    assert all(np.isfinite(value) for value, _ in rows.values())
+    beta, beta_stderr = rows["beta"]
+    assert beta > 0
+    assert 1e-21 <= beta_stderr <= 1e-19
+
+
 def test_fit_density_image_cli(tmp_path, cr):
     # 5% pixel noise; the fitted temperature must stay inside the 10%
     # accuracy the image fit is specified to deliver
@@ -334,6 +359,8 @@ def test_fit_missing_column_is_config_error(tmp_path):
     ("linear", "x(1),y(1)\n0,1\n1,3\n", "need at least 3 points"),
     ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n2,nan\n3,9\n4,9.5\n",
      "must be finite"),
+    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,-5\n2,-8\n3,-9\n4,-9.5\n",
+     "no sample is positive"),
 ])
 def test_fit_input_data_error_exit_code(tmp_path, capsys, fitter, text,
                                         message):

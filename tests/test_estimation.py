@@ -4,12 +4,14 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, special
 
-from mtload import (DensityImage, GravityAxisError, InputDataError,
-                    QuadrupoleField, RateModel, fit_density_image, fit_linear,
-                    fit_loading_curve, fit_two_body_loss,
-                    render_density_image, shape_params)
+from mtload import (DensityImage, FitNotConvergedError, GravityAxisError,
+                    InputDataError, QuadrupoleField, RateModel,
+                    fit_density_image, fit_linear, fit_loading_curve,
+                    fit_two_body_loss, render_density_image, shape_params)
 from mtload.constants import G_ACCEL, K_B, MU_B
 from mtload.dynamics import decay_density_at
 from mtload import estimation
@@ -67,6 +69,55 @@ def test_loading_fit_rejects_bad_input():
                                        np.full(6, 5.0)))
     with pytest.raises(ValueError):
         fit_loading_curve(SampleSeries(np.zeros(6), np.arange(6.0)))
+    # no start point with N0 > 0
+    with pytest.raises(InputDataError, match="no sample is positive"):
+        fit_loading_curve(SampleSeries(np.arange(6.0), -np.arange(6.0)))
+
+
+@st.composite
+def loading_like_curves(draw):
+    """Rising, decaying, pure-noise and noisy rising sample curves, on
+    grids of 5 to 60 points, optionally with uncertainties."""
+    count = draw(st.integers(5, 60))
+    span = draw(st.floats(1e-2, 1e2))
+    t = np.linspace(0.0, span, count)
+    scale = draw(st.floats(1.0, 1e12))
+    tau = span * draw(st.floats(1e-3, 1e2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("rising", "decaying", "noise",
+                                 "noisy rising")))
+    if kind == "rising":
+        y = scale * -np.expm1(-t / tau)
+    elif kind == "decaying":
+        y = scale * np.exp(-t / tau)
+    elif kind == "noise":
+        y = scale * rng.standard_normal(count)
+    else:
+        y = scale * -np.expm1(-t / tau) * (
+            1.0 + draw(st.floats(1e-3, 0.5)) * rng.standard_normal(count))
+    sigma = None
+    if draw(st.booleans()):
+        sigma = 0.01 * scale * (1.0 + rng.random(count))
+    return SampleSeries(t, y, sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(loading_like_curves())
+def test_loading_fit_converges_finite_or_raises(data):
+    # the fit stays where N0 > 0 and tau > 0 by refusing steps, so it never
+    # evaluates the model outside that domain; a RuntimeWarning (overflow,
+    # division by zero) is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            res = fit_loading_curve(data)
+        except (FitNotConvergedError, InputDataError):
+            return
+    assert res.converged
+    assert res.params["N0"] > 0 and res.params["tau"] > 0
+    values = [*res.params.values(), *res.stderr.values(),
+              res.residual_norm, res.extras["R"]]
+    assert all(math.isfinite(v) for v in values)
 
 
 def test_loading_fit_deterministic():
@@ -343,6 +394,19 @@ def test_image_fit_refuses_non_positive_steps(cr, monkeypatch, axes, mode):
     assert min(proposed) <= 0
     assert res.params["shape_b"] == pytest.approx(b_shape, rel=1e-8)
     assert res.params["n0"] == pytest.approx(1e16, rel=1e-8)
+
+
+@pytest.mark.parametrize("mode", ["projection", "slice"])
+@pytest.mark.parametrize("axes", [("y", "x"), ("y", "z"), ("z", "y")])
+def test_image_initial_guess_uses_the_model_geometry(axes, mode):
+    # the guess reads the same pixel geometry as the model, so along the
+    # coil axis z it counts each pixel twice as far out, as the field does
+    shape_b = 3000.0
+    image = render_density_image(1e16, shape_b, 0.1 * shape_b,
+                                 pitch=24.0 / (shape_b * 128),
+                                 shape=(128, 128), axes=axes, mode=mode)
+    _, b0, _ = estimation._image_initial_guess(image, mode)
+    assert b0 == pytest.approx(shape_b, rel=0.05)
 
 
 def test_image_fit_with_one_row_names_shape_g(cr):

@@ -75,16 +75,44 @@ def test_non_convergence_carries_best_iterate():
     assert best.iterations == 2
 
 
-def test_lower_bound_clamp_flagged():
+def test_refused_steps_keep_parameter_in_domain():
+    # the unconstrained optimum is slope = -0.5; the residual marks
+    # slope <= 0 as outside the domain, so steps there are shortened
     x_data = np.linspace(0, 1, 20)
-    y = -0.5 * x_data  # pulls the slope negative
+    y = -0.5 * x_data
+    proposed = []
 
     def residual(p):
+        proposed.append(p[0])
+        if not p[0] > 0.0:
+            return np.full(x_data.size, np.inf)
         return p[0] * x_data - y
 
-    res = least_squares(residual, [1.0], ("slope",), lower_bounds=[0.0])
-    assert res.params["slope"] == 0.0
-    assert res.extras.get("clamped") is True
+    res = least_squares(residual, [1.0], ("slope",))
+    assert min(proposed) <= 0.0
+    assert res.converged
+    assert 0.0 < res.params["slope"] < 1e-3
+    assert np.isfinite(res.stderr["slope"]) and np.isfinite(res.residual_norm)
+    assert "clamped" not in res.extras
+
+
+@pytest.mark.parametrize("start,outside", [([-1.0], np.inf),
+                                           ([0.0], np.nan),
+                                           ([np.nan], np.inf)])
+def test_start_outside_domain_raises(start, outside):
+    x_data = np.linspace(0, 1, 20)
+    calls = []
+
+    def residual(p):
+        calls.append(p.copy())
+        if not p[0] > 0.0:
+            return np.full(x_data.size, outside)
+        return p[0] * x_data - x_data
+
+    with pytest.raises(ValueError, match="start point"):
+        least_squares(residual, start, ("slope",))
+    # the residual it already evaluates at x0 decides: no extra call
+    assert len(calls) == 1
 
 
 def test_input_validation():

@@ -90,6 +90,15 @@ def test_validation_reports_field_path():
         parse_scenario("mot.temperature_uK = -3")
 
 
+@pytest.mark.parametrize("key", [
+    "figure2.detunings_linewidths", "figure2.efficiencies",
+    "figure2.atom_numbers", "figure3.atom_numbers", "figure4.lightshift"])
+def test_empty_sweep_rejected_by_the_parser(key):
+    with pytest.raises(ConfigError, match=f"line 1: {key}: expected a "
+                                          "nonempty"):
+        parse_scenario(f"{key} =")
+
+
 def test_missing_equals_rejected():
     with pytest.raises(ConfigError, match="expected 'key = value'"):
         parse_scenario("just some words")
