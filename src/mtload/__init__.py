@@ -21,8 +21,8 @@ from .excitation import (LightField, efficiency_from_rate,
 from .leastsq import FitResult, least_squares
 from .mc import (PumpingDistribution, TransferReport, seed_stream,
                  simulate_transfer)
-from .scenario import Scenario, default_scenario, load_scenario, parse_scenario
-from .species import SpeciesData, chromium52, unit_convert
+from .scenario import Scenario, load_scenario, parse_scenario
+from .species import SpeciesData, chromium52
 from .tables import TOOL_VERSION as __version__
 
 __all__ = [
@@ -42,7 +42,7 @@ __all__ = [
     "FitResult", "least_squares",
     "PumpingDistribution", "TransferReport", "seed_stream",
     "simulate_transfer",
-    "Scenario", "default_scenario", "load_scenario", "parse_scenario",
-    "SpeciesData", "chromium52", "unit_convert",
+    "Scenario", "load_scenario", "parse_scenario",
+    "SpeciesData", "chromium52",
     "__version__",
 ]

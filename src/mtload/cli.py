@@ -8,7 +8,8 @@ Exit codes: 0 success, 2 configuration or input-data error (a bad
 scenario, a missing column, a non-finite value, too few samples, a time
 axis that does not increase, degenerate data), 3 numeric failure (fit
 convergence, an untrapped cloud, an image sag that is undetermined or
-points upwards, or a non-finite value in the output table), 4 I/O error.
+points upwards, a non-finite value in the output table, or running out
+of memory), 4 I/O error.
 """
 
 import argparse
@@ -196,6 +197,10 @@ def main(argv=None) -> int:
     except (FitNotConvergedError, GravityAxisError, UntrappedCloudError,
             ValueError) as exc:
         print(f"mtload: numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"mtload: numeric failure: out of memory: {exc}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:
         print(f"mtload: I/O error: {exc}", file=sys.stderr)

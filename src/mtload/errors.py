@@ -6,7 +6,7 @@ class MtloadError(Exception):
 
 
 class ConfigError(MtloadError):
-    """Invalid configuration input: unknown key, bad value, or unsupported unit."""
+    """Invalid configuration input: an unknown key or a bad value."""
 
 
 class InputDataError(ConfigError, ValueError):

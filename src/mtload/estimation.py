@@ -294,6 +294,9 @@ def image_from_table(parsed) -> tuple[DensityImage, str]:
         pitch = float(meta["image-pitch-m"])
     except ValueError as exc:
         raise ConfigError(f"bad image header: {exc}") from exc
+    if min(shape) < 1:
+        raise ConfigError(f"image-shape must give two positive sizes, got "
+                          f"{meta['image-shape']!r}")
     axes = tuple(a.strip() for a in meta["image-axes"].split(","))
     if len(axes) != 2:
         raise ConfigError("image-axes must name two axes")
@@ -502,7 +505,8 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     refused and shortened, so data without two-body loss give a small
     positive beta with a finite stderr. extras report how much the fitted
     beta moves when t0 is perturbed by +-50% (the t0_sensitivity
-    fraction).
+    fraction). When beta is below twice its stderr, so consistent with 0,
+    extras carry ``beta_consistent_with_zero = True`` instead.
     """
     density_series.require_time_axis()
     if t0 <= 0:
@@ -534,11 +538,16 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
 
     result = fit_beta(t0)
     beta = result.params["beta"]
-    shifts = []
-    for factor in (1.5, 0.5):
-        perturbed = fit_beta(t0 * factor).params["beta"]
-        shifts.append(abs(perturbed - beta))
-    result.extras["t0_sensitivity"] = max(shifts) / beta
+    if beta < 2.0 * result.stderr["beta"]:
+        # a shift relative to a beta that the data do not tell from 0
+        # means nothing
+        result.extras["beta_consistent_with_zero"] = True
+    else:
+        shifts = []
+        for factor in (1.5, 0.5):
+            perturbed = fit_beta(t0 * factor).params["beta"]
+            shifts.append(abs(perturbed - beta))
+        result.extras["t0_sensitivity"] = max(shifts) / beta
     result.extras["volume_v0"] = v0
     result.extras["volume_alpha"] = alpha
     return result

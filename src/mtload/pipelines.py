@@ -16,7 +16,6 @@ from .estimation import SampleSeries, fit_linear
 from .leastsq import FitResult
 from .mc import PumpingDistribution, seed_stream, simulate_transfer
 from .scenario import Scenario
-from .species import unit_convert
 from .tables import ResultTable, format_number, provenance_header
 
 
@@ -233,14 +232,14 @@ def figure4(sc: Scenario) -> ResultTable:
     species = sc.species()
     field = sc.field()
     mu_bar = sc.mu_bar(species)
-    sigma = unit_convert(sc["mot.sigma_um"], "um", "m")
+    sigma = sc["mot.sigma_um"] * 1e-6
     dist = PumpingDistribution.point(sc["transfer.mean_zeeman_m"])
     offset = sc["figure4.tmot_offset_uK"]
     slope = sc["figure4.tmot_slope_uK"]
     rows = []
     notes = []
     for i, shift in enumerate(sc["figure4.lightshift"]):
-        t_mot = unit_convert(offset + slope * shift, "uK", "K")
+        t_mot = (offset + slope * shift) * 1e-6
         mot = cloud.MotCloud(size_sigma=sigma, temperature=t_mot,
                              atom_number=sc["mot.atom_number"])
         t_th = cloud.predict_mt_temperature(mot, field, mu_bar)

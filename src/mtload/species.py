@@ -1,13 +1,11 @@
-"""Atomic species data and boundary unit conversions.
+"""Atomic species data, in SI units.
 
-Everything inside the package is SI. Experiment-friendly units (G/cm, uK,
-mW/cm^2, um, cm^-3) are accepted only at I/O boundaries, through
-:func:`unit_convert`.
+Everything inside the package is SI. Experiment-friendly units appear only
+in scenario key names (``trap.gradient_G_per_cm``, ``mot.sigma_um``), and
+the scenario accessors convert them to SI.
 """
 
 from dataclasses import dataclass
-
-from .errors import ConfigError
 
 _ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 
@@ -65,48 +63,3 @@ def chromium52(lande_g_d: float = 1.5) -> SpeciesData:
         metastable_lifetime_lower_bound=50.0,
     )
 
-
-# unit -> (dimension, factor to the SI unit of that dimension)
-_UNIT_TABLE = {
-    "G/cm": ("gradient", 1e-2),
-    "T/m": ("gradient", 1.0),
-    "uK": ("temperature", 1e-6),
-    "K": ("temperature", 1.0),
-    "mW/cm^2": ("intensity", 10.0),
-    "W/m^2": ("intensity", 1.0),
-    "um": ("length", 1e-6),
-    "m": ("length", 1.0),
-    "cm^-3": ("number_density", 1e6),
-    "m^-3": ("number_density", 1.0),
-}
-
-_UNIT_ALIASES = {
-    "µK": "uK",
-    "µm": "um",
-    "mW/cm2": "mW/cm^2",
-    "W/m2": "W/m^2",
-    "cm-3": "cm^-3",
-    "m-3": "m^-3",
-}
-
-
-def unit_convert(value: float, from_unit: str, to_unit: str) -> float:
-    """Exact linear rescaling between a supported unit pair.
-
-    Raises ConfigError for unknown units or a dimension mismatch.
-    """
-    src = _UNIT_ALIASES.get(from_unit, from_unit)
-    dst = _UNIT_ALIASES.get(to_unit, to_unit)
-    try:
-        dim_src, f_src = _UNIT_TABLE[src]
-        dim_dst, f_dst = _UNIT_TABLE[dst]
-    except KeyError as exc:
-        raise ConfigError(
-            f"unsupported unit conversion {from_unit!r} -> {to_unit!r}"
-        ) from exc
-    if dim_src != dim_dst:
-        raise ConfigError(
-            f"unit dimensions differ: {from_unit!r} ({dim_src}) vs "
-            f"{to_unit!r} ({dim_dst})"
-        )
-    return value * (f_src / f_dst)

@@ -1,9 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtload import ConfigError
-from mtload.scenario import default_scenario, load_scenario, parse_scenario
+from mtload.scenario import SCENARIO_KEYS, load_scenario, parse_scenario
 
 SAMPLE = """
 # comment line
@@ -18,7 +20,8 @@ seed = 99
 
 
 def test_defaults_parse_and_validate():
-    sc = default_scenario()
+    sc = parse_scenario("")
+    assert load_scenario() == sc
     assert sc.seed == 42
     assert sc["trap.gradient_G_per_cm"] == 15.0
     assert sc["mt.temperature_uK"] == "virial"
@@ -90,6 +93,68 @@ def test_validation_reports_field_path():
         parse_scenario("mot.temperature_uK = -3")
 
 
+# Every domain edge, written out by hand as an oracle independent of the
+# key table: (key, the edge value inside the domain, the first value
+# outside it). A two-sided domain has one case per edge.
+BOUNDARIES = [
+    ("seed", "0", "-1"),
+    ("species.name", "cr52", "cr53"),
+    ("species.lande_g_d", "1e-300", "0"),
+    ("trap.gradient_G_per_cm", "1e-300", "0"),
+    ("mot.sigma_um", "0", "-1e-300"),
+    ("mot.temperature_uK", "1e-300", "0"),
+    ("mot.atom_number", "1e-300", "0"),
+    ("mt.temperature_uK", "1e-300", "0"),
+    ("transfer.efficiency", "0", "-1e-300"),
+    ("transfer.efficiency", "1", "1.0000000000000002"),
+    ("transfer.mean_zeeman_m", "1", "0"),
+    ("transfer.mean_zeeman_m", "4", "5"),
+    ("light.intensity_per_beam_sat", "0", "-1e-300"),
+    ("light.beam_count", "1", "0"),
+    ("rates.background_lifetime_s", "1e-300", "0"),
+    ("rates.mot_on_background_rate_per_s", "0", "-1e-300"),
+    ("rates.two_body_m3_per_s", "0", "-1e-300"),
+    ("rates.volume_growth_per_s", "0", "-1e-300"),
+    ("rates.sigma_ed_m2", "0", "-1e-300"),
+    ("rates.overlap_factor", "1e-300", "0"),
+    ("rates.overlap_factor", "1", "1.0000000000000002"),
+    ("sim.t_end_s", "1e-300", "0"),
+    ("sim.samples", "2", "1"),
+    ("decay.initial_density_m3", "1e-300", "0"),
+    ("decay.t_end_s", "1e-300", "0"),
+    ("decay.samples", "2", "1"),
+    ("mc.particles", "1", "0"),
+    ("noise.sigma_rel", "0", "-1e-300"),
+    ("figure2.efficiencies", "0, 0.5, 0.5", "0.5, -1e-300, 0.5"),
+    ("figure2.efficiencies", "0.5, 0.5, 1",
+     "0.5, 0.5, 1.0000000000000002"),
+    ("figure2.atom_numbers", "1e-300", "1e7, 0"),
+    ("figure3.atom_numbers", "1e-300", "0, 1e7"),
+    ("figure4.lightshift", "0", "3, -1e-300"),
+    ("figure4.tmot_offset_uK", "1e-300", "0"),
+    ("figure4.tmot_slope_uK", "0", "-1e-300"),
+]
+
+
+@pytest.mark.parametrize("key,inside,outside", BOUNDARIES)
+def test_domain_edges(key, inside, outside):
+    parse_scenario(f"{key} = {inside}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        parse_scenario(f"{key} = {outside}")
+
+
+def test_keys_without_a_domain_take_any_finite_value():
+    parse_scenario("light.detuning_linewidths = -1.7976931348623157e+308\n"
+                   "figure2.detunings_linewidths = -1.7976931348623157e+308,"
+                   " 0, 1.7976931348623157e+308")
+
+
+def test_every_key_has_a_boundary_case():
+    covered = {key for key, _, _ in BOUNDARIES}
+    assert covered | {"light.detuning_linewidths",
+                      "figure2.detunings_linewidths"} == set(SCENARIO_KEYS)
+
+
 @pytest.mark.parametrize("key", [
     "figure2.detunings_linewidths", "figure2.efficiencies",
     "figure2.atom_numbers", "figure3.atom_numbers", "figure4.lightshift"])
@@ -125,6 +190,13 @@ def test_seed_override_changes_canonical_form():
     assert sc2.seed == 2
     assert sc.seed == 1
     assert "seed = 2" in sc2.canonical_text()
+
+
+def test_seed_override_checked_against_the_seed_domain():
+    sc = parse_scenario("")
+    assert sc.with_seed(0).seed == 0
+    with pytest.raises(ConfigError, match=r"^seed: must be >= 0$"):
+        sc.with_seed(-1)
 
 
 def test_load_scenario_from_file(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from mtload import ConfigError, chromium52, unit_convert
+from mtload import chromium52
 from mtload.species import SpeciesData
 
 
@@ -46,34 +46,3 @@ def test_invalid_species_rejected():
                     wavelength_ps=1.0, saturation_intensity=1.0,
                     lande_g_d=1.5, metastable_lifetime_lower_bound=1.0)
 
-
-@pytest.mark.parametrize("value,src,dst,expected", [
-    (20.0, "G/cm", "T/m", 0.2),
-    (8.5, "mW/cm^2", "W/m^2", 85.0),
-    (1e10, "cm^-3", "m^-3", 1e16),
-    (100.0, "uK", "K", 1e-4),
-    (200.0, "um", "m", 2e-4),
-])
-def test_unit_convert_examples(value, src, dst, expected):
-    assert unit_convert(value, src, dst) == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("src,dst", [
-    ("G/cm", "T/m"), ("uK", "K"), ("mW/cm^2", "W/m^2"),
-    ("um", "m"), ("cm^-3", "m^-3"),
-])
-def test_unit_round_trip_identity(src, dst):
-    for value in (1.0, 3.7, 8.5e3, 2.2e-7):
-        back = unit_convert(unit_convert(value, src, dst), dst, src)
-        assert back == pytest.approx(value, rel=1e-12)
-
-
-def test_unsupported_unit_pair_rejected():
-    with pytest.raises(ConfigError):
-        unit_convert(1.0, "G/cm", "K")
-    with pytest.raises(ConfigError):
-        unit_convert(1.0, "furlong", "m")
-
-
-def test_micro_sign_alias():
-    assert unit_convert(1.0, "µK", "K") == 1e-6
