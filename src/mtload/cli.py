@@ -5,8 +5,9 @@ fit, mc-transfer. Global flags: --scenario <path>, --seed <u64>,
 --out <path> (default stdout), --format csv.
 
 Exit codes: 0 success, 2 configuration or input-data error (a bad
-scenario, a missing column, a non-finite value, too few samples, a time
-axis that does not increase, degenerate data), 3 numeric failure (fit
+scenario, a file that is not UTF-8, a missing column, a non-finite value,
+too few samples or pixels, a time axis that does not increase, degenerate
+data), 3 numeric failure (fit
 convergence, an untrapped cloud, an image sag that is undetermined or
 points upwards, a non-finite value in the output table, or running out
 of memory), 4 I/O error.
@@ -19,10 +20,9 @@ import stat
 import sys
 
 from . import pipelines
-from .errors import (ConfigError, FitNotConvergedError, GravityAxisError,
-                     InputDataError, MtloadError, UntrappedCloudError)
-from .estimation import (SampleSeries, fit_density_image, fit_linear,
-                         fit_loading_curve, fit_two_body_loss,
+from .errors import ConfigError, InputDataError, MtloadError
+from .estimation import (IMAGE_MODES, SampleSeries, fit_density_image,
+                         fit_linear, fit_loading_curve, fit_two_body_loss,
                          image_from_table)
 from .leastsq import FitResult
 from .scenario import load_scenario
@@ -69,12 +69,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_global_flags(fit, suppress=True)
     fit.add_argument("fitter", choices=FITTERS)
     fit.add_argument("file", help="input CSV data file")
-    fit.add_argument("--mode", choices=("projection", "slice"),
+    fit.add_argument("--mode", choices=IMAGE_MODES,
                      help="density-image model (default: from the file)")
     return parser
 
 
-def _fit_result_table(result: FitResult, scenario, seed) -> ResultTable:
+def _fit_result_table(result: FitResult, scenario) -> ResultTable:
     rows = []
     notes = [
         f"converged = {result.converged}",
@@ -86,16 +86,14 @@ def _fit_result_table(result: FitResult, scenario, seed) -> ResultTable:
     for name, value in result.extras.items():
         if isinstance(value, bool):
             notes.append(f"{name} = {value}")
-        elif name.endswith("_stderr") or not isinstance(value, (int, float)):
-            continue
-        else:
+        elif not name.endswith("_stderr"):
             rows.append((name, float(value),
                          float(result.extras.get(f"{name}_stderr",
                                                  math.nan))))
     return ResultTable(
         columns=[("parameter", "name"), ("value", "SI"), ("stderr", "SI")],
         rows=rows,
-        provenance=provenance_header(scenario, seed),
+        provenance=provenance_header(scenario),
         notes=notes,
     )
 
@@ -124,7 +122,7 @@ def _run_fit(args, scenario) -> ResultTable:
         mode = args.mode if args.mode else file_mode
         result = fit_density_image(image, scenario.field(),
                                    scenario.species(), mode=mode)
-    return _fit_result_table(result, scenario, scenario.seed)
+    return _fit_result_table(result, scenario)
 
 
 def _require_finite(table: ResultTable, fit: bool) -> None:
@@ -194,8 +192,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"mtload: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FitNotConvergedError, GravityAxisError, UntrappedCloudError,
-            ValueError) as exc:
+    except (MtloadError, ValueError) as exc:
+        # every other package error is a numeric failure: a fit that does
+        # not converge, an untrapped cloud, an unusable image sag
         print(f"mtload: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except MemoryError as exc:
@@ -205,9 +204,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"mtload: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except MtloadError as exc:
-        print(f"mtload: error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

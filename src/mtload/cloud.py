@@ -166,14 +166,6 @@ def predict_mt_temperature(mot: MotCloud, field: QuadrupoleField,
     return mot.temperature / 3.0 + delta_t
 
 
-def one_over_e_radius(shape_b: float) -> float:
-    """Radial 1/e radius of the trapped cloud, 1/B (the coil-axis radius is
-    half of this)."""
-    if shape_b <= 0:
-        raise ValueError("shape_b must be positive")
-    return 1.0 / shape_b
-
-
 def make_cloud_state(atom_number: float, temperature: float, mu_bar: float,
                      field: QuadrupoleField,
                      species: SpeciesData) -> CloudState:

@@ -21,13 +21,10 @@ the atom number follows as N = n V.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .collisions import GAUSS_NODES, GAUSS_WEIGHTS
-
-VolumeLaw = Callable[[float], tuple[float, float]]  # t -> (V, dV/dt)
 
 
 @dataclass(frozen=True)
@@ -59,11 +56,12 @@ class RateModel:
             raise ValueError("initial_volume must be finite and positive, "
                              f"got {self.initial_volume!r}")
 
-    def volume_law(self) -> VolumeLaw:
+    def volume_law(self):
+        """V(t) = V0 (1 + alpha t), for scalar or array t."""
         v0, alpha = self.initial_volume, self.volume_growth_rate
 
-        def law(t: float) -> tuple[float, float]:
-            return v0 * (1.0 + alpha * t), v0 * alpha
+        def law(t):
+            return v0 * (1.0 + alpha * t)
 
         return law
 
@@ -202,6 +200,6 @@ def integrate_mt_decay(initial_density: float, model: RateModel,
         n_steps -= 1
     times = np.linspace(0.0, t_end, n_steps + 1)
     density = decay_density_at(times, initial_density, model)
-    volume, _ = model.volume_law()(times)
+    volume = model.volume_law()(times)
     return Trajectory(times=times, peak_density=density,
                       atom_number=density * volume, volume=volume)

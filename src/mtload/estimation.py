@@ -18,13 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import QuadrupoleField
-from .constants import G_ACCEL, K_B, MU_B
+from .constants import G_ACCEL, K_B
 from .dynamics import RateModel, decay_density_at
 from .errors import GravityAxisError, InputDataError
 from .leastsq import FitResult, _covariance, least_squares
 from .species import SpeciesData
 
 _AXIS_LABELS = ("x", "y", "z")
+# the image models: a column density along the line of sight, or a
+# volume density in a plane through the trap centre
+IMAGE_MODES = ("projection", "slice")
 
 
 @dataclass(frozen=True)
@@ -88,11 +91,6 @@ class DensityImage:
             raise InputDataError(
                 "axes must be two distinct labels from (x, y, z) including y"
             )
-
-    @property
-    def line_of_sight(self) -> str:
-        """Axis the image integrates over (the one missing from ``axes``)."""
-        return next(a for a in _AXIS_LABELS if a not in self.axes)
 
     def coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Pixel-center coordinate grids along (axes[0], axes[1])."""
@@ -207,7 +205,7 @@ def _image_model(image: DensityImage, mode: str):
     pixel geometry is computed once, for a fit's repeated evaluations.
     Each evaluation makes the same floating-point operations in the same
     order as profile_model, so their values are identical."""
-    if mode not in ("projection", "slice"):
+    if mode not in IMAGE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     y, radial, scale = _pixel_geometry(image)
     if mode == "slice":
@@ -300,9 +298,9 @@ def image_from_table(parsed) -> tuple[DensityImage, str]:
     axes = tuple(a.strip() for a in meta["image-axes"].split(","))
     if len(axes) != 2:
         raise ConfigError("image-axes must name two axes")
-    if meta["image-mode"] not in ("projection", "slice"):
+    if meta["image-mode"] not in IMAGE_MODES:
         raise ConfigError(f"unknown image-mode {meta['image-mode']!r}: "
-                          "expected projection or slice")
+                          f"expected {' or '.join(IMAGE_MODES)}")
     values = parsed.column("value")
     if values.size != shape[0] * shape[1]:
         raise ConfigError(
@@ -437,12 +435,20 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
     refused and shortened. An image with one pixel along the vertical
     axis does not determine shape_g, and a fit that converges to
     shape_g <= 0 has the sag pointing the wrong way, so the vertical axis
-    is misidentified; both raise GravityAxisError.
+    is misidentified; both raise GravityAxisError. An image of fewer
+    than 4 pixels leaves no residual to estimate the errors from and
+    raises InputDataError.
     """
     if image.values.shape[image.axes.index("y")] < 2:
         raise GravityAxisError(
             "the image has one pixel along the vertical axis y, so it does "
             "not determine shape_g")
+    names = ("n0", "shape_b", "shape_g")
+    if image.values.size <= len(names):
+        # no residual degree of freedom is left, so no error estimate
+        raise InputDataError(
+            f"the image has {image.values.size} pixels; fitting "
+            f"{', '.join(names)} needs at least {len(names) + 1}")
     n0_0, b0, g0 = _image_initial_guess(image, mode)
     flat = image.values.ravel()
     model = _image_model(image, mode)
@@ -454,8 +460,7 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
             return refused
         return model(n0, shape_b, shape_g).ravel() - flat
 
-    result = least_squares(residual, [n0_0, b0, g0],
-                           ("n0", "shape_b", "shape_g"))
+    result = least_squares(residual, [n0_0, b0, g0], names)
     shape_b = result.params["shape_b"]
     shape_g = result.params["shape_g"]
     if shape_g <= 0:
@@ -473,20 +478,18 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
         temperature_stderr=temperature * rel_g,
         mu_bar=mu_bar,
         mu_bar_stderr=mu_bar * math.hypot(rel_b, rel_g),
-        mu_bar_physical_range=(species.lande_g_d * 1.0 * MU_B,
-                               species.lande_g_d * 4.0 * MU_B),
-        mode=mode,
     )
     return result
 
 
 def fit_volume_growth(volume_series: SampleSeries) -> tuple[float, float]:
     """Linear fit of the volume history; returns (V0, alpha) for
-    V(t) = V0 (1 + alpha t)."""
+    V(t) = V0 (1 + alpha t). A history whose fit gives V0 <= 0 raises
+    InputDataError."""
     fit = fit_linear(volume_series)
     v0 = fit.params["intercept"]
     if v0 <= 0:
-        raise ValueError("volume fit gave a non-positive initial volume")
+        raise InputDataError("volume fit gave a non-positive initial volume")
     alpha = fit.params["slope"] / v0
     if alpha < 0:
         alpha = 0.0

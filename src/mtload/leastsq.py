@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FitNotConvergedError
 
-DEFAULT_MAX_ITER = 200
+_MAX_ITER = 200
 _XTOL = 1e-8
 _FTOL = 1e-10
 _REL_STEP = 1e-6
@@ -75,12 +75,13 @@ def _covariance(jac: np.ndarray, ssr: float) -> np.ndarray:
     except np.linalg.LinAlgError:
         inv = np.linalg.pinv(jtj)
     dof = m - n
-    s2 = ssr / dof if dof > 0 else 0.0
+    # with no residual degree of freedom the scale, so every error, is
+    # unknown: NaN, never an exact 0
+    s2 = ssr / dof if dof > 0 else math.nan
     return s2 * inv
 
 
-def least_squares(residual_fn, x0, names: tuple[str, ...], *,
-                  max_iter: int = DEFAULT_MAX_ITER) -> FitResult:
+def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
     """Minimize sum(residual_fn(x)^2) starting at x0.
 
     Every accepted iterate has a finite sum of squares, so the fit stays in
@@ -100,7 +101,7 @@ def least_squares(residual_fn, x0, names: tuple[str, ...], *,
     converged = False
     iterations = 0
 
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MAX_ITER + 1):
         jac = numeric_jacobian(residual_fn, x)
         jtj = jac.T @ jac
         grad = jac.T @ r
@@ -145,7 +146,7 @@ def least_squares(residual_fn, x0, names: tuple[str, ...], *,
     )
     if not converged:
         raise FitNotConvergedError(
-            f"no convergence within {max_iter} iterations "
+            f"no convergence within {_MAX_ITER} iterations "
             f"(residual norm {result.residual_norm:.6e})",
             best=result,
         )

@@ -84,11 +84,6 @@ class PumpingDistribution:
         """Probability of a low-field-seeking (m > 0) outcome."""
         return float(sum(self.probabilities[5:]))
 
-    @property
-    def mean_m(self) -> float:
-        return float(sum(m * p for m, p in
-                         zip(ZEEMAN_M_VALUES, self.probabilities)))
-
 
 @dataclass(frozen=True)
 class TransferReport:

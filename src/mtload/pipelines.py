@@ -7,14 +7,15 @@ includes one). All derived intermediate quantities are recorded as notes
 so an output file documents how it was produced.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import cloud, collisions, dynamics, excitation
 from .estimation import SampleSeries, fit_linear
 from .leastsq import FitResult
-from .mc import PumpingDistribution, seed_stream, simulate_transfer
+from .mc import (PumpingDistribution, TransferReport, seed_stream,
+                 simulate_transfer)
 from .scenario import Scenario
 from .tables import ResultTable, format_number, provenance_header
 
@@ -38,14 +39,12 @@ def loading_context(sc: Scenario,
     """Compose excitation, cloud geometry, and collision kinematics into
     the loading rate R and total decay rate Gamma for one configuration."""
     species = sc.species()
-    field = sc.field()
     mot = sc.mot_cloud()
     if n_mot is None:
         n_mot = mot.atom_number
-    light = sc.light_field(species=species)
-    p_e = excitation.excitation_probability(light, species)
-    t_mt = sc.mt_temperature(species)
-    shape_b, shape_g = cloud.shape_params(t_mt, sc.mu_bar(species), field,
+    p_e = excitation.excitation_probability(sc.light_field(), species)
+    t_mt = sc.mt_temperature()
+    shape_b, shape_g = cloud.shape_params(t_mt, sc.mu_bar(), sc.field(),
                                           species)
     volume = cloud.effective_volume(shape_b, shape_g)
     n_e = collisions.excited_mot_density(n_mot, p_e, volume)
@@ -73,6 +72,14 @@ def _context_notes(ctx: LoadingContext) -> list[str]:
     ]
 
 
+def _stream(sc: Scenario, label: str,
+            notes: list[str]) -> np.random.Generator:
+    """The scenario seed's generator for stream ``label``; the output's
+    notes name the stream."""
+    notes.append(f"seed-stream {label}")
+    return seed_stream(sc.seed, label)
+
+
 def _apply_noise(values: np.ndarray, sigma_rel: float,
                  rng: np.random.Generator) -> np.ndarray:
     if sigma_rel == 0.0:
@@ -86,14 +93,15 @@ def simulate_loading(sc: Scenario) -> ResultTable:
     ctx = loading_context(sc)
     times = np.linspace(0.0, sc["sim.t_end_s"], sc["sim.samples"])
     atoms = dynamics.loading_curve(ctx.rate, ctx.gamma_total, times)
-    rng = seed_stream(sc.seed, "noise/simulate-loading")
+    notes = []
+    rng = _stream(sc, "noise/simulate-loading", notes)
     atoms = _apply_noise(atoms, sc["noise.sigma_rel"], rng)
     rows = [(t, n) for t, n in zip(times, atoms)]
     return ResultTable(
         columns=[("t", "s"), ("N_MT", "count")],
         rows=rows,
-        provenance=provenance_header(sc, sc.seed),
-        notes=["seed-stream noise/simulate-loading"] + _context_notes(ctx),
+        provenance=provenance_header(sc),
+        notes=notes + _context_notes(ctx),
     )
 
 
@@ -110,22 +118,22 @@ def simulate_decay(sc: Scenario) -> ResultTable:
     dt = t_end / (sc["decay.samples"] - 1)
     traj = dynamics.integrate_mt_decay(sc["decay.initial_density_m3"],
                                        model, t_end, dt)
-    rng = seed_stream(sc.seed, "noise/simulate-decay")
+    notes = []
+    rng = _stream(sc, "noise/simulate-decay", notes)
     density = _apply_noise(traj.peak_density.copy(), sc["noise.sigma_rel"],
                            rng)
     rows = [(t, n, n * v, v)
             for t, n, v in zip(traj.times, density, traj.volume)]
-    notes = ["seed-stream noise/simulate-decay"] + _context_notes(ctx)
+    notes += _context_notes(ctx)
     beta = sc["rates.two_body_m3_per_s"]
     if beta > 0:
         # the velocity entering sigma = beta/v is ambiguous between a
         # trap-trap and a reservoir-trap thermal average; report both
         species = sc.species()
-        mot = sc.mot_cloud()
         v_mtmt = collisions.mean_collision_velocity(ctx.t_mt, ctx.t_mt,
                                                     species)
-        v_motmt = collisions.mean_collision_velocity(mot.temperature,
-                                                     ctx.t_mt, species)
+        v_motmt = collisions.mean_collision_velocity(
+            sc.mot_cloud().temperature, ctx.t_mt, species)
         notes.append("derived sigma_dd_mtmt_m2 = " + format_number(
             collisions.cross_section_from_beta(beta, v_mtmt)))
         notes.append("derived sigma_dd_motmt_m2 = " + format_number(
@@ -133,20 +141,18 @@ def simulate_decay(sc: Scenario) -> ResultTable:
     return ResultTable(
         columns=[("t", "s"), ("n0", "1/m^3"), ("N", "count"), ("V", "m^3")],
         rows=rows,
-        provenance=provenance_header(sc, sc.seed),
+        provenance=provenance_header(sc),
         notes=notes,
     )
 
 
 @dataclass(frozen=True)
 class DetuningFit:
-    """Per-detuning slope of R vs N_MOT and the efficiency it implies."""
+    """The transfer efficiency implied by one detuning's fitted slope of
+    R vs N_MOT."""
 
     detuning_linewidths: float
-    slope: float          # 1/s per atom
-    slope_stderr: float
     efficiency: float
-    p_e: float
 
 
 def figure2(sc: Scenario) -> tuple[ResultTable, list[DetuningFit]]:
@@ -156,13 +162,12 @@ def figure2(sc: Scenario) -> tuple[ResultTable, list[DetuningFit]]:
     detunings = sc["figure2.detunings_linewidths"]
     efficiencies = sc["figure2.efficiencies"]
     atom_numbers = np.asarray(sc["figure2.atom_numbers"])
-    rng = seed_stream(sc.seed, "noise/figure2")
+    notes = []
+    rng = _stream(sc, "noise/figure2", notes)
     rows = []
     fits = []
-    notes = ["seed-stream noise/figure2"]
     for det, eta in zip(detunings, efficiencies):
-        light = sc.light_field(det, species)
-        p_e = excitation.excitation_probability(light, species)
+        p_e = excitation.excitation_probability(sc.light_field(det), species)
         rates = np.array([
             excitation.transfer_rate(n, p_e, species, eta)
             for n in atom_numbers
@@ -172,13 +177,7 @@ def figure2(sc: Scenario) -> tuple[ResultTable, list[DetuningFit]]:
         fit = fit_linear(SampleSeries(atom_numbers, rates))
         eta_hat = excitation.efficiency_from_rate(fit.params["slope"], 1.0,
                                                   p_e, species)
-        fits.append(DetuningFit(
-            detuning_linewidths=det,
-            slope=fit.params["slope"],
-            slope_stderr=fit.stderr["slope"],
-            efficiency=eta_hat,
-            p_e=p_e,
-        ))
+        fits.append(DetuningFit(detuning_linewidths=det, efficiency=eta_hat))
         notes.append(
             f"fit detuning_linewidths={format_number(det)} "
             f"slope_per_s={format_number(fit.params['slope'])} "
@@ -187,7 +186,7 @@ def figure2(sc: Scenario) -> tuple[ResultTable, list[DetuningFit]]:
     table = ResultTable(
         columns=[("detuning", "Gamma_eg"), ("N_MOT", "count"), ("R", "1/s")],
         rows=rows,
-        provenance=provenance_header(sc, sc.seed),
+        provenance=provenance_header(sc),
         notes=notes,
     )
     return table, fits
@@ -205,13 +204,12 @@ def figure3(sc: Scenario) -> tuple[ResultTable, FitResult]:
         gammas.append(ctx.gamma_total)
     xs = np.asarray(xs)
     gammas = np.asarray(gammas)
-    rng = seed_stream(sc.seed, "noise/figure3")
+    notes = []
+    rng = _stream(sc, "noise/figure3", notes)
     gammas = _apply_noise(gammas, sc["noise.sigma_rel"], rng)
     fit = fit_linear(SampleSeries(xs, gammas))
-    fit.extras["sigma_ed"] = fit.params["slope"]
     rows = list(zip(xs, gammas))
-    notes = [
-        "seed-stream noise/figure3",
+    notes += [
         f"fit sigma_ed_m2 = {format_number(fit.params['slope'])}",
         f"fit sigma_ed_stderr_m2 = {format_number(fit.stderr['slope'])}",
         f"fit intercept_per_s = {format_number(fit.params['intercept'])}",
@@ -219,35 +217,37 @@ def figure3(sc: Scenario) -> tuple[ResultTable, FitResult]:
     table = ResultTable(
         columns=[("n_e_v", "1/(m^2 s)"), ("Gamma", "1/s")],
         rows=rows,
-        provenance=provenance_header(sc, sc.seed),
+        provenance=provenance_header(sc),
         notes=notes,
     )
     return table, fit
+
+
+def _transfer(sc: Scenario, mot: cloud.MotCloud, label: str,
+              notes: list[str]) -> tuple[float, TransferReport]:
+    """The analytic transfer temperature of reservoir ``mot`` and its Monte
+    Carlo check, drawn from seed stream ``label``."""
+    field = sc.field()
+    t_th = cloud.predict_mt_temperature(mot, field, sc.mu_bar())
+    dist = PumpingDistribution.point(sc["transfer.mean_zeeman_m"])
+    report = simulate_transfer(mot, dist, field, sc.species(),
+                               sc["mc.particles"],
+                               rng=_stream(sc, label, notes))
+    return t_th, report
 
 
 def figure4(sc: Scenario) -> ResultTable:
     """Transfer-temperature sweep against the light-shift parameter: the
     configured linear reservoir-temperature law, the analytic prediction,
     and the Monte Carlo check with its statistical error."""
-    species = sc.species()
-    field = sc.field()
-    mu_bar = sc.mu_bar(species)
-    sigma = sc["mot.sigma_um"] * 1e-6
-    dist = PumpingDistribution.point(sc["transfer.mean_zeeman_m"])
     offset = sc["figure4.tmot_offset_uK"]
     slope = sc["figure4.tmot_slope_uK"]
     rows = []
     notes = []
     for i, shift in enumerate(sc["figure4.lightshift"]):
         t_mot = (offset + slope * shift) * 1e-6
-        mot = cloud.MotCloud(size_sigma=sigma, temperature=t_mot,
-                             atom_number=sc["mot.atom_number"])
-        t_th = cloud.predict_mt_temperature(mot, field, mu_bar)
-        label = f"figure4-mc-{i}"
-        report = simulate_transfer(mot, dist, field, species,
-                                   sc["mc.particles"],
-                                   rng=seed_stream(sc.seed, label))
-        notes.append(f"seed-stream {label}")
+        mot = replace(sc.mot_cloud(), temperature=t_mot)
+        t_th, report = _transfer(sc, mot, f"figure4-mc-{i}", notes)
         rows.append((shift, t_mot, t_th, report.temperature_mc,
                      report.temperature_stderr))
     return ResultTable(
@@ -255,7 +255,7 @@ def figure4(sc: Scenario) -> ResultTable:
                  ("T_MT_th", "K"), ("T_MT_mc", "K"),
                  ("T_MT_mc_stderr", "K")],
         rows=rows,
-        provenance=provenance_header(sc, sc.seed),
+        provenance=provenance_header(sc),
         notes=notes,
     )
 
@@ -263,21 +263,16 @@ def figure4(sc: Scenario) -> ResultTable:
 def mc_transfer(sc: Scenario) -> ResultTable:
     """One seeded transfer simulation compared against the analytic
     prediction; single-row table."""
-    species = sc.species()
-    field = sc.field()
     mot = sc.mot_cloud()
-    mu_bar = sc.mu_bar(species)
-    dist = PumpingDistribution.point(sc["transfer.mean_zeeman_m"])
-    t_th = cloud.predict_mt_temperature(mot, field, mu_bar)
-    report = simulate_transfer(mot, dist, field, species,
-                               sc["mc.particles"],
-                               rng=seed_stream(sc.seed, "mc-transfer"))
+    notes = []
+    t_th, report = _transfer(sc, mot, "mc-transfer", notes)
     rel = report.temperature_mc / t_th - 1.0
     rows = [(
         report.particles, report.trapped, mot.temperature, mot.size_sigma,
-        field.gradient, sc["transfer.mean_zeeman_m"], report.temperature_mc,
-        report.temperature_stderr, t_th, rel, report.mean_radius,
-        report.mean_radius_expected, report.mean_radius_stderr,
+        sc.field().gradient, sc["transfer.mean_zeeman_m"],
+        report.temperature_mc, report.temperature_stderr, t_th, rel,
+        report.mean_radius, report.mean_radius_expected,
+        report.mean_radius_stderr,
     )]
     return ResultTable(
         columns=[
@@ -288,6 +283,6 @@ def mc_transfer(sc: Scenario) -> ResultTable:
             ("mean_radius_expected", "m"), ("mean_radius_stderr", "m"),
         ],
         rows=rows,
-        provenance=provenance_header(sc, sc.seed),
-        notes=["seed-stream mc-transfer"],
+        provenance=provenance_header(sc),
+        notes=notes,
     )

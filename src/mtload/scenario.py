@@ -174,9 +174,9 @@ class Scenario:
             atom_number=self.values["mot.atom_number"],
         )
 
-    def light_field(self, detuning_linewidths: float | None = None,
-                    species: SpeciesData | None = None) -> LightField:
-        species = species if species is not None else self.species()
+    def light_field(self,
+                    detuning_linewidths: float | None = None) -> LightField:
+        species = self.species()
         detuning_lw = (detuning_linewidths if detuning_linewidths is not None
                        else self.values["light.detuning_linewidths"])
         return LightField(
@@ -186,20 +186,18 @@ class Scenario:
             detuning=detuning_lw * species.gamma_eg,
         )
 
-    def mu_bar(self, species: SpeciesData | None = None) -> float:
-        species = species if species is not None else self.species()
-        return (species.lande_g_d * self.values["transfer.mean_zeeman_m"]
-                * MU_B)
+    def mu_bar(self) -> float:
+        return (self.values["species.lande_g_d"]
+                * self.values["transfer.mean_zeeman_m"] * MU_B)
 
-    def mt_temperature(self, species: SpeciesData | None = None) -> float:
+    def mt_temperature(self) -> float:
         """Magnetic-trap temperature: explicit value or, for 'virial', the
         transfer-temperature prediction from the reservoir parameters."""
         configured = self.values["mt.temperature_uK"]
         if configured != "virial":
             return configured * 1e-6
-        species = species if species is not None else self.species()
         return predict_mt_temperature(self.mot_cloud(), self.field(),
-                                      self.mu_bar(species))
+                                      self.mu_bar())
 
 
 def _check(key: str, value) -> None:
@@ -251,7 +249,10 @@ def load_scenario(path: str | None = None,
     else:
         # unreadable files propagate as OSError (I/O failure, not config)
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
         scenario = parse_scenario(text)
     if seed_override is not None:
         scenario = scenario.with_seed(seed_override)

@@ -56,13 +56,13 @@ class ResultTable:
         return out.getvalue()
 
 
-def provenance_header(scenario, seed: int) -> list[tuple[str, str]]:
-    """Standard provenance block: version, scenario hash, effective seed,
-    and the full canonical scenario (so any output can be re-run)."""
+def provenance_header(scenario) -> list[tuple[str, str]]:
+    """Standard provenance block: version, scenario hash, the scenario's
+    seed, and the full canonical scenario (so any output can be re-run)."""
     lines = [
         ("mtload-version", TOOL_VERSION),
         ("scenario-sha256", scenario.sha256()),
-        ("seed", str(seed)),
+        ("seed", str(scenario.seed)),
     ]
     for line in scenario.canonical_text().splitlines():
         lines.append(("scenario", line))
@@ -141,4 +141,8 @@ def parse_csv(text: str) -> ParsedTable:
 
 def read_csv(path: str) -> ParsedTable:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_csv(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_csv(text)

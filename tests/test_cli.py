@@ -221,7 +221,7 @@ def test_fit_table_keeps_nan_stderr_and_refuses_inf(tmp_path, monkeypatch,
                            residual_norm=0.0, converged=True, iterations=1,
                            extras={"intercept": 1.0,
                                    "intercept_stderr": stderr})
-        return cli._fit_result_table(result, scenario, scenario.seed)
+        return cli._fit_result_table(result, scenario)
 
     monkeypatch.setattr(cli, "_run_fit", run_fit)
     out = tmp_path / "fit.csv"
@@ -365,6 +365,8 @@ def test_fit_missing_column_is_config_error(tmp_path):
      "must be finite"),
     ("loading-curve", "t(s),N_MT(count)\n0,0\n1,-5\n2,-8\n3,-9\n4,-9.5\n",
      "no sample is positive"),
+    ("two-body", "t(s),n0(1/m^3),V(m^3)\n0,1e16,-1e-9\n1,9e15,-1.1e-9\n"
+     "2,8e15,-1.2e-9\n", "non-positive initial volume"),
 ])
 def test_fit_input_data_error_exit_code(tmp_path, capsys, fitter, text,
                                         message):
@@ -393,6 +395,36 @@ def test_fit_density_image_with_one_row_is_numeric_failure(tmp_path,
     err = capsys.readouterr().err
     assert "numeric failure" in err and "shape_g" in err
     assert out.read_text(encoding="utf-8") == "previous\n"
+
+
+@pytest.mark.parametrize("rows", [2, 3])
+def test_fit_density_image_with_fewer_than_4_pixels_is_input_error(
+        tmp_path, capsys, rows):
+    # a rows x 1 crop: three parameters leave no residual to estimate their
+    # errors from; the fit once exited 0 with every stderr an exact 0.0
+    image = render_density_image(1e16, 3000.0, 700.0, 4e-5, (32, 32))
+    crop = DensityImage(image.values[15:15 + rows, 16:17], image.pitch,
+                        image.axes)
+    data = tmp_path / "crop.csv"
+    data.write_text(image_to_table(crop).to_csv(), encoding="utf-8")
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "density-image", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input data error" in err and "at least 4" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["simulate-loading", "--scenario"],
+                                  ["fit", "linear"]])
+def test_input_that_is_not_utf8_is_config_error(tmp_path, capsys, args):
+    # a Latin-1 byte once surfaced as a numeric failure (exit 3)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("# r\xe9glage\nx(1),y(1)\n0,1\n1,2\n2,3\n"
+                     .encode("latin-1"))
+    assert main(args + [str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(path) in err
+    assert "not UTF-8" in err
 
 
 def test_fit_unknown_image_mode_is_config_error(tmp_path, capsys):

@@ -6,8 +6,8 @@ from scipy import integrate
 
 from mtload import (MotCloud, QuadrupoleField, UntrappedCloudError,
                     density_at, effective_volume, make_cloud_state,
-                    one_over_e_radius, phase_space_density,
-                    predict_mt_temperature, shape_params)
+                    phase_space_density, predict_mt_temperature,
+                    shape_params)
 from mtload.cloud import VIRIAL_TRANSFER_PREFACTOR
 from mtload.constants import G_ACCEL, MU_B
 
@@ -34,7 +34,7 @@ def test_shape_params_reference_values(cr, field):
     b_shape, g_shape = shape_params(100e-6, 6 * MU_B, field, cr)
     assert b_shape == pytest.approx(2015.1414468775192, rel=1e-12)
     assert g_shape == pytest.approx(612.6221123807774, rel=1e-12)
-    assert one_over_e_radius(b_shape) == pytest.approx(496.24e-6, rel=1e-3)
+    assert 1.0 / b_shape == pytest.approx(496.24e-6, rel=1e-3)
 
 
 def test_shape_params_temperature_scaling(cr, field):
@@ -218,15 +218,6 @@ def test_transfer_temperature_linearities(cr):
 def test_prefactor_identity():
     assert VIRIAL_TRANSFER_PREFACTOR == pytest.approx(
         (2.0 / 9.0) * math.sqrt(8.0 / math.pi), rel=1e-12, abs=0.0)
-
-
-def test_one_over_e_radius_examples():
-    assert one_over_e_radius(1250.0) == pytest.approx(800e-6, rel=1e-12)
-    assert one_over_e_radius(2000.0) == pytest.approx(500e-6, rel=1e-12)
-    # coil-axis radius is half the radial one for the same profile
-    b_shape = 1250.0
-    radial = one_over_e_radius(b_shape)
-    assert radial / 2 == pytest.approx(1.0 / (2 * b_shape), rel=1e-12)
 
 
 # -------------------------------------------------------------- assembly

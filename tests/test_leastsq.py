@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mtload import FitNotConvergedError
+from mtload import FitNotConvergedError, leastsq
 from mtload.leastsq import least_squares, numeric_jacobian
 
 
@@ -61,7 +61,8 @@ def test_stderr_reasonable_for_linear_model(rng):
     assert res.stderr["slope"] == pytest.approx(textbook, rel=0.5)
 
 
-def test_non_convergence_carries_best_iterate():
+def test_non_convergence_carries_best_iterate(monkeypatch):
+    monkeypatch.setattr(leastsq, "_MAX_ITER", 2)
     t = np.linspace(0.0, 5.0, 40)
     y = 3.2 * np.exp(-0.8 * t)
 
@@ -69,7 +70,7 @@ def test_non_convergence_carries_best_iterate():
         return p[0] * np.exp(-p[1] * t) - y
 
     with pytest.raises(FitNotConvergedError) as err:
-        least_squares(residual, [100.0, 5.0], ("a", "k"), max_iter=2)
+        least_squares(residual, [100.0, 5.0], ("a", "k"))
     best = err.value.best
     assert best is not None and not best.converged
     assert best.iterations == 2
@@ -118,3 +119,15 @@ def test_start_outside_domain_raises(start, outside):
 def test_input_validation():
     with pytest.raises(ValueError):
         least_squares(lambda p: p, [1.0, 2.0], ("only-one",))
+
+
+def test_no_residual_dof_gives_nan_stderr():
+    # as many residuals as parameters: the fit is exact and the error scale
+    # unknown, so no stderr may read as an exact 0
+    def residual(p):
+        return np.array([p[0] - 1.0, p[0] + p[1] - 3.0])
+
+    res = least_squares(residual, [0.0, 0.0], ("a", "b"))
+    assert res.params["a"] == pytest.approx(1.0)
+    assert res.params["b"] == pytest.approx(2.0)
+    assert all(np.isnan(v) for v in res.stderr.values())

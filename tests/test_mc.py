@@ -67,7 +67,6 @@ def test_point_distribution_always_hits():
     draws = sample_zeeman_substates(dist, 1000, seed_stream(16, "pt"))
     assert np.all(draws == 4)
     assert dist.trapped_fraction == 1.0
-    assert dist.mean_m == 4.0
 
 
 def test_uniform_distribution_trapped_fraction():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mtload import pipelines
 from mtload.pipelines import (figure2, figure3, figure4, loading_context,
                               mc_transfer, simulate_decay, simulate_loading)
 from mtload.scenario import parse_scenario
@@ -154,3 +155,21 @@ def test_untrapped_configuration_raises():
     sc = parse_scenario("trap.gradient_G_per_cm = 0.05")
     with pytest.raises(UntrappedCloudError):
         loading_context(sc)
+
+
+@pytest.mark.parametrize("pipeline", [simulate_loading, simulate_decay,
+                                      figure2, figure3, figure4, mc_transfer])
+def test_notes_name_exactly_the_seed_streams_drawn(monkeypatch, pipeline):
+    drawn = []
+    seed_stream = pipelines.seed_stream
+
+    def recorder(seed, label):
+        drawn.append(label)
+        return seed_stream(seed, label)
+
+    monkeypatch.setattr(pipelines, "seed_stream", recorder)
+    result = pipeline(parse_scenario(""))
+    table = result[0] if isinstance(result, tuple) else result
+    named = [note[len("seed-stream "):] for note in table.notes
+             if note.startswith("seed-stream ")]
+    assert drawn and named == drawn

@@ -16,7 +16,7 @@ def sample_table():
     return ResultTable(
         columns=[("t", "s"), ("N_MT", "count")],
         rows=[(0.0, 0.0), (0.5, 1.25e7), (1.0, 2e7)],
-        provenance=provenance_header(sc, 7),
+        provenance=provenance_header(sc),
         notes=["derived R_per_s = 1000.0"],
     )
 
