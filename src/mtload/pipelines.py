@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import cloud, collisions, dynamics, excitation
+from .errors import ConfigError
 from .estimation import SampleSeries, fit_linear
 from .leastsq import FitResult
 from .mc import (PumpingDistribution, TransferReport, seed_stream,
@@ -78,6 +79,14 @@ def _stream(sc: Scenario, label: str,
     notes name the stream."""
     notes.append(f"seed-stream {label}")
     return seed_stream(sc.seed, label)
+
+
+def _require_excitation(p_e: float, figure: str) -> None:
+    """Refuse a light field that excites no atom: with P_e = 0 neither
+    figure has a rate to fit."""
+    if p_e == 0.0:
+        raise ConfigError(f"light.intensity_per_beam_sat: must be positive "
+                          f"for {figure}; at 0 no atom is excited (P_e = 0)")
 
 
 def _apply_noise(values: np.ndarray, sigma_rel: float,
@@ -168,6 +177,7 @@ def figure2(sc: Scenario) -> tuple[ResultTable, list[DetuningFit]]:
     fits = []
     for det, eta in zip(detunings, efficiencies):
         p_e = excitation.excitation_probability(sc.light_field(det), species)
+        _require_excitation(p_e, "figure2")
         rates = np.array([
             excitation.transfer_rate(n, p_e, species, eta)
             for n in atom_numbers
@@ -200,6 +210,7 @@ def figure3(sc: Scenario) -> tuple[ResultTable, FitResult]:
     gammas = []
     for n_mot in sc["figure3.atom_numbers"]:
         ctx = loading_context(sc, n_mot=n_mot)
+        _require_excitation(ctx.p_e, "figure3")
         xs.append(ctx.n_e * ctx.v_bar)
         gammas.append(ctx.gamma_total)
     xs = np.asarray(xs)

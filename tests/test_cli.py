@@ -122,6 +122,23 @@ def test_non_finite_scenario_value_is_config_error(tmp_path, capsys, line,
     assert "config error" in err and key in err and "finite" in err
 
 
+@pytest.mark.parametrize("command, code", [
+    ("figure2", 2), ("figure3", 2), ("simulate-loading", 0),
+    ("simulate-decay", 0), ("figure4", 0), ("mc-transfer", 0)])
+def test_simulations_without_excitation(tmp_path, capsys, command, code):
+    # intensity 0 is inside the key's domain, and P_e = 0 leaves figure2 a
+    # loading rate of 0 and figure3 n_e v = 0 to fit: both refuse the key
+    cfg = tmp_path / "dark.cfg"
+    cfg.write_text(SMALL + "light.intensity_per_beam_sat = 0\n",
+                   encoding="utf-8")
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", str(cfg), "--out", str(out)]) == code
+    if code:
+        err = capsys.readouterr().err
+        assert "config error" in err and "light.intensity_per_beam_sat" in err
+        assert not out.exists()
+
+
 def test_negative_seed_is_config_error(capsys):
     assert main(["mc-transfer", "--seed", "-1"]) == 2
     assert "config error" in capsys.readouterr().err

@@ -346,6 +346,29 @@ def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
                                                      rel=0.02), err
 
 
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("sigma", [0.0, 200e-6])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_transfer_stderrs_match_exact_moments(cr, field, m, sigma, seed):
+    # point(m) traps every atom, and its per-atom variances are exact:
+    # Var(E) = 1.5 (k_B T)^2 + (g_d m mu_B b sigma)^2 (3 - 8/pi) and
+    # Var(|r|) = sigma^2 (3 - 8/pi), with |r| independent of |v|; 1% is
+    # about 5 sigma of a standard error's scatter at 4e5 atoms
+    cloud = mot(sigma=sigma)
+    report = simulate_transfer(cloud, PumpingDistribution.point(m), field,
+                               cr, 400_000, seed_stream(seed, "moments"))
+    n = report.trapped
+    var_radius = (3.0 - 8.0 / math.pi) * sigma ** 2
+    var_energy = (1.5 * (K_B * cloud.temperature) ** 2
+                  + (cr.lande_g_d * m * MU_B * field.gradient) ** 2
+                  * var_radius)
+    assert report.temperature_stderr == pytest.approx(
+        2.0 * math.sqrt(var_energy) / (9.0 * K_B * math.sqrt(n)), rel=0.01,
+        abs=0.0)
+    assert report.mean_radius_stderr == pytest.approx(
+        math.sqrt(var_radius / n), rel=0.01, abs=0.0)
+
+
 @pytest.mark.parametrize("dist, count", [
     pytest.param(dist, count, id=f"{name}-{count}")
     for name, dist, counts in (
