@@ -14,11 +14,13 @@ The audit needs only each atom's substate, |r| and |v|^2, so
 ``simulate_transfer`` samples these sufficient statistics directly
 instead of 3-D positions and velocities. For an isotropic Gaussian,
 |r|^2/sigma^2 and |v|^2/v_th^2 are each chi-square with 3 degrees of
-freedom, which is exactly 2 Gamma(3/2); only the trapped atoms are drawn.
-A call runs on the calling thread and streams the trapped atoms through
-three float buffers of at most ``_BLOCK`` = 2**17 entries, folding each
-block's moments into running ones, so it holds at most about 3 MiB
-whatever the count.
+freedom, which is exactly 2 E + Z^2 for a standard exponential E
+(chi-square with 2 degrees of freedom, halved) and an independent standard
+normal Z; the pair costs less to draw than one Gamma(3/2) variate. Only
+the trapped atoms are drawn. A call runs on the calling thread and
+streams the trapped atoms through three float buffers of at most
+``_BLOCK`` = 2**17 entries, folding each block's moments into running
+ones, so it holds at most about 3 MiB whatever the count.
 """
 
 import math
@@ -138,14 +140,16 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     Reservoir atoms have isotropic Gaussian positions of width sigma per
     axis and Maxwell-Boltzmann velocities at the reservoir temperature, so
     |r|^2/sigma^2 and |v|^2/v_th^2 are chi-square with 3 degrees of
-    freedom, i.e. 2 Gamma(3/2). The draws are: the atom count per substate
-    (one multinomial over the normalised distribution), then, for the
-    n trapped (m > 0) atoms only, ordered by substate, one block of
-    ``_BLOCK`` = 2**17 atoms at a time: ``standard_gamma(1.5)`` values G_r
-    for the block, then G_v for the block. With n <= 2**17 that is one
-    array of n G_r and one of n G_v. Per atom |r| = sigma sqrt(2 G_r), the
-    kinetic energy is k_B T G_v and the potential, in the isotropic
-    mean-gradient convention of the analytic estimate, is
+    freedom: 2 E + Z^2 for a standard exponential E and an independent
+    standard normal Z. The draws are: the atom count per substate (one
+    multinomial over the normalised distribution), then, for the n trapped
+    (m > 0) atoms only, ordered by substate, one block of ``_BLOCK`` =
+    2**17 atoms at a time, each draw filling one value per atom of the
+    block: ``standard_exponential`` E, ``standard_normal`` Z, then
+    ``standard_exponential`` E' and ``standard_normal`` Z'. Per atom
+    |r| = sigma sqrt(2 E + Z^2), the kinetic energy is k_B T G_v with
+    G_v = E' + Z'^2/2, a Gamma(3/2) variate, and the potential, in the
+    isotropic mean-gradient convention of the analytic estimate, is
     (g_d m mu_B) b |r|; each m-segment's slice of a block is scaled by its
     own coefficient, and segments may cross block edges. Each block's
     radius moments are taken before the radius becomes the potential in
@@ -177,10 +181,19 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     radius_moments = energy_moments = None
     for first in range(0, n, _BLOCK):
         last = min(first + _BLOCK, n)
-        radius, total = radius_buf[:last - first], total_buf[:last - first]
-        rng.standard_gamma(1.5, out=radius)
-        rng.standard_gamma(1.5, out=total)
+        k = last - first
+        radius, total, odd = radius_buf[:k], total_buf[:k], scratch[:k]
+        # |r|^2/sigma^2 = 2 E + Z^2 and G_v = E' + Z'^2/2
+        rng.standard_exponential(out=radius)
+        rng.standard_normal(out=odd)
+        np.square(odd, out=odd)
         radius *= 2.0
+        radius += odd
+        rng.standard_exponential(out=total)
+        rng.standard_normal(out=odd)
+        np.square(odd, out=odd)
+        odd *= 0.5
+        total += odd
         np.sqrt(radius, out=radius)
         radius *= mot.size_sigma
         radius_moments = _fold(radius_moments, radius, scratch)

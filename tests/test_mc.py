@@ -17,7 +17,8 @@ from mtload.constants import K_B, MU_B
 from mtload.mc import ZEEMAN_M_VALUES, seed_stream
 
 # the documented block of simulate_transfer: its draws come 2**17 trapped
-# atoms at a time, G_r for the block and then G_v for the block
+# atoms at a time, the exponential and the normal of |r|^2/sigma^2 for the
+# block, then those of G_v for the block
 BLOCK = 2**17
 
 
@@ -119,8 +120,11 @@ class RecordingGenerator:
         self.counts = self.rng.multinomial(n, pvals)
         return self.counts
 
-    def standard_gamma(self, shape, size=None, out=None):
-        return self.rng.standard_gamma(shape, size, out=out)
+    def standard_exponential(self, size=None, out=None):
+        return self.rng.standard_exponential(size, out=out)
+
+    def standard_normal(self, size=None, out=None):
+        return self.rng.standard_normal(size, out=out)
 
 
 def assert_matches_choice(cr, field, dist, count, seed):
@@ -407,23 +411,25 @@ def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
 
 def audit_of_draws(cloud, dist, fld, species, count, rng, block):
     """simulate_transfer's draws audited the plain way: a substate per
-    atom, the gamma draws taken in the documented block order, and each
-    atom's radius and energy computed ``block`` atoms at a time, so the
-    substate segments start and end inside blocks."""
+    atom, the exponential and normal draws taken in the documented block
+    order, and each atom's radius and energy computed ``block`` atoms at a
+    time, so the substate segments start and end inside blocks."""
     p = np.asarray(dist.probabilities)
     m = np.repeat(np.array(ZEEMAN_M_VALUES), rng.multinomial(count,
                                                             p / p.sum()))
     m = m[m > 0]
     n = len(m)
-    g_r, g_v = np.empty(n), np.empty(n)
+    chi_r, g_v = np.empty(n), np.empty(n)
     for start in range(0, n, BLOCK):
         size = min(BLOCK, n - start)
-        g_r[start:start + size] = rng.standard_gamma(1.5, size)
-        g_v[start:start + size] = rng.standard_gamma(1.5, size)
+        e_r, z_r = rng.standard_exponential(size), rng.standard_normal(size)
+        e_v, z_v = rng.standard_exponential(size), rng.standard_normal(size)
+        chi_r[start:start + size] = 2.0 * e_r + z_r * z_r
+        g_v[start:start + size] = e_v + 0.5 * (z_v * z_v)
     radius, total = np.empty(n), np.empty(n)
     for start in range(0, n, block):
         atoms = slice(start, start + block)
-        radius[atoms] = cloud.size_sigma * np.sqrt(2.0 * g_r[atoms])
+        radius[atoms] = cloud.size_sigma * np.sqrt(chi_r[atoms])
         kinetic = K_B * cloud.temperature * g_v[atoms]
         potential = (species.lande_g_d * m[atoms] * MU_B * fld.gradient
                      * radius[atoms])
@@ -591,8 +597,8 @@ def test_transfer_accepts_numpy_integer_count(cr, field, integer):
 
 
 class FailingGenerator:
-    """Draws from ``rng`` until the second ``standard_gamma`` call, which
-    raises ``error``."""
+    """Draws from ``rng`` until the second exponential or normal draw,
+    which raises ``error``."""
 
     def __init__(self, rng, error):
         self.rng, self.error, self.calls = rng, error, 0
@@ -600,11 +606,17 @@ class FailingGenerator:
     def multinomial(self, n, pvals):
         return self.rng.multinomial(n, pvals)
 
-    def standard_gamma(self, shape, size=None, out=None):
+    def _draw(self, method, size, out):
         self.calls += 1
         if self.calls == 2:
             raise self.error
-        return self.rng.standard_gamma(shape, size, out=out)
+        return method(size, out=out)
+
+    def standard_exponential(self, size=None, out=None):
+        return self._draw(self.rng.standard_exponential, size, out)
+
+    def standard_normal(self, size=None, out=None):
+        return self._draw(self.rng.standard_normal, size, out)
 
 
 def test_draw_failure_reaches_the_caller_unchanged(cr, field):
