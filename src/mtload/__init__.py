@@ -2,9 +2,9 @@
 forward rate-equation dynamics, trapped-cloud geometry, virial-theorem
 thermometry, and the inverse fitting procedures."""
 
-from .cloud import (CloudState, MotCloud, QuadrupoleField, density_at,
-                    effective_volume, make_cloud_state, phase_space_density,
-                    predict_mt_temperature, shape_params)
+from .cloud import (MotCloud, QuadrupoleField, effective_volume,
+                    phase_space_density, predict_mt_temperature,
+                    shape_params)
 from .collisions import (cross_section_from_beta, excited_mot_density,
                          mean_collision_velocity, overlap_correction)
 from .dynamics import (RateModel, Trajectory, integrate_mt_decay,
@@ -25,9 +25,8 @@ from .species import SpeciesData, chromium52
 from .tables import TOOL_VERSION as __version__
 
 __all__ = [
-    "CloudState", "MotCloud", "QuadrupoleField", "density_at",
-    "effective_volume", "make_cloud_state", "phase_space_density",
-    "predict_mt_temperature", "shape_params",
+    "MotCloud", "QuadrupoleField", "effective_volume",
+    "phase_space_density", "predict_mt_temperature", "shape_params",
     "cross_section_from_beta", "excited_mot_density",
     "mean_collision_velocity", "overlap_correction",
     "RateModel", "Trajectory", "integrate_mt_decay", "loading_curve",

@@ -13,8 +13,6 @@ ratio fixes the mean magnetic moment independently of temperature.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import G_ACCEL, K_B, H_PLANCK
 from .errors import UntrappedCloudError
 from .species import SpeciesData
@@ -56,35 +54,6 @@ class MotCloud:
             raise ValueError("atom_number must be positive")
 
 
-@dataclass(frozen=True)
-class CloudState:
-    """Thermal ensemble in the magnetic trap.
-
-    ``peak_density * effective_volume == atom_number`` by definition of the
-    effective volume V = integral of n/n0.
-    """
-
-    atom_number: float           # count
-    temperature: float           # K
-    mean_magnetic_moment: float  # J/T
-    shape_b: float               # 1/m
-    shape_g: float               # 1/m
-    peak_density: float          # 1/m^3
-    effective_volume: float      # m^3
-
-    def __post_init__(self):
-        for name in ("atom_number", "temperature", "mean_magnetic_moment",
-                     "shape_b", "shape_g", "peak_density", "effective_volume"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        n_check = self.peak_density * self.effective_volume
-        if not math.isclose(n_check, self.atom_number, rel_tol=1e-6):
-            raise ValueError(
-                "peak_density * effective_volume must equal atom_number "
-                f"(got {n_check:.6e} vs {self.atom_number:.6e})"
-            )
-
-
 def shape_params(temperature: float, mu_bar: float, field: QuadrupoleField,
                  species: SpeciesData) -> tuple[float, float]:
     """Shape parameters (B, G) of the trapped-cloud profile.
@@ -98,15 +67,6 @@ def shape_params(temperature: float, mu_bar: float, field: QuadrupoleField,
     b_shape = mu_bar * field.gradient / (2.0 * kt)
     g_shape = species.mass * G_ACCEL / kt
     return b_shape, g_shape
-
-
-def density_at(point, cloud: CloudState):
-    """Density at ``point = (x, y, z)`` in m; accepts scalars or arrays."""
-    x, y, z = point
-    r_aniso = np.sqrt(np.asarray(x) ** 2 + np.asarray(y) ** 2
-                      + 4.0 * np.asarray(z) ** 2)
-    return cloud.peak_density * np.exp(-cloud.shape_b * r_aniso
-                                       - cloud.shape_g * np.asarray(y))
 
 
 def effective_volume(shape_b: float, shape_g: float) -> float:
@@ -165,25 +125,3 @@ def predict_mt_temperature(mot: MotCloud, field: QuadrupoleField,
                * mot.size_sigma / K_B)
     return mot.temperature / 3.0 + delta_t
 
-
-def make_cloud_state(atom_number: float, temperature: float, mu_bar: float,
-                     field: QuadrupoleField,
-                     species: SpeciesData) -> CloudState:
-    """Assemble a consistent CloudState from (N, T, mu_bar, b).
-
-    The peak density is fixed by n0 = N / V so that n0 * V == N holds by
-    construction.
-    """
-    if atom_number <= 0:
-        raise ValueError("atom_number must be positive")
-    b_shape, g_shape = shape_params(temperature, mu_bar, field, species)
-    volume = effective_volume(b_shape, g_shape)
-    return CloudState(
-        atom_number=atom_number,
-        temperature=temperature,
-        mean_magnetic_moment=mu_bar,
-        shape_b=b_shape,
-        shape_g=g_shape,
-        peak_density=atom_number / volume,
-        effective_volume=volume,
-    )

@@ -22,15 +22,8 @@ class UntrappedCloudError(MtloadError):
 
 
 class FitNotConvergedError(MtloadError):
-    """An iterative fit exhausted its iteration budget.
-
-    The best iterate seen so far is attached as ``best`` (a FitResult with
-    ``converged == False``).
-    """
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """An iterative fit exhausted its iteration budget; the message gives
+    the budget and the residual norm reached."""
 
 
 class GravityAxisError(MtloadError):

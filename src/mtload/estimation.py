@@ -20,9 +20,10 @@ import numpy as np
 from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B
 from .dynamics import RateModel, decay_density_at
-from .errors import GravityAxisError, InputDataError
+from .errors import ConfigError, GravityAxisError, InputDataError
 from .leastsq import FitResult, _covariance, least_squares
 from .species import SpeciesData
+from .tables import ResultTable
 
 _AXIS_LABELS = ("x", "y", "z")
 # the image models: a column density along the line of sight, or a
@@ -52,6 +53,8 @@ class SampleSeries:
                 raise InputDataError("y_sigma must match x in length")
             if not np.all(sig > 0):
                 raise InputDataError("uncertainties must be positive")
+            if not np.all(np.isfinite(sig)):
+                raise InputDataError("uncertainties must be finite")
             object.__setattr__(self, "y_sigma", sig)
 
     def require_time_axis(self):
@@ -202,9 +205,7 @@ def _pixel_geometry(image: DensityImage):
 
 def _image_model(image: DensityImage, mode: str):
     """profile_model as a function of (n0, shape_b, shape_g) alone: the
-    pixel geometry is computed once, for a fit's repeated evaluations.
-    Each evaluation makes the same floating-point operations in the same
-    order as profile_model, so their values are identical."""
+    pixel geometry is computed once, for a fit's repeated evaluations."""
     if mode not in IMAGE_MODES:
         raise ValueError(f"unknown mode {mode!r}")
     y, radial, scale = _pixel_geometry(image)
@@ -255,8 +256,6 @@ def image_to_table(image: DensityImage, mode: str = "projection"):
     """Long-format table of an image (one row per pixel) with the grid
     shape, pitch, axes, and mode recorded in the provenance so the grid can
     be rebuilt exactly."""
-    from .tables import ResultTable  # local import keeps tables decoupled
-
     c0, c1 = image.coordinates()
     unit = "1/m^3" if mode == "slice" else "1/m^2"
     rows = [
@@ -280,8 +279,6 @@ def image_to_table(image: DensityImage, mode: str = "projection"):
 
 def image_from_table(parsed) -> tuple[DensityImage, str]:
     """Rebuild (image, mode) from a parsed long-format table."""
-    from .errors import ConfigError
-
     meta = dict(parsed.provenance)
     for key in ("image-shape", "image-pitch-m", "image-axes", "image-mode"):
         if key not in meta:

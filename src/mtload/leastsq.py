@@ -5,8 +5,8 @@ residual function; the residual callable is the whole contract. Jacobians
 are numeric central differences with a relative step of 1e-6. Iteration is
 declared converged when the relative parameter change falls below 1e-8 or
 the relative change of the residual norm below 1e-10; exhausting the
-iteration budget raises FitNotConvergedError carrying the best iterate.
-No randomized restarts: results are deterministic functions of the input.
+iteration budget raises FitNotConvergedError. No randomized restarts:
+results are deterministic functions of the input.
 
 A residual that is not finite marks a point outside the model's domain. A
 step whose sum of squares is infinite or NaN is never accepted: the damping
@@ -134,20 +134,17 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
             converged = True
             break
 
+    if not converged:
+        raise FitNotConvergedError(
+            f"no convergence within {_MAX_ITER} iterations "
+            f"(residual norm {math.sqrt(ssr):.6e})")
     jac = numeric_jacobian(residual_fn, x)
     cov = _covariance(jac, ssr)
     stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    result = FitResult(
+    return FitResult(
         params=dict(zip(names, x.tolist())),
         stderr=dict(zip(names, stderr.tolist())),
         residual_norm=math.sqrt(ssr),
         converged=converged,
         iterations=iterations,
     )
-    if not converged:
-        raise FitNotConvergedError(
-            f"no convergence within {_MAX_ITER} iterations "
-            f"(residual norm {result.residual_norm:.6e})",
-            best=result,
-        )
-    return result

@@ -81,11 +81,6 @@ class PumpingDistribution:
     def uniform(cls) -> "PumpingDistribution":
         return cls(tuple([1.0 / 9.0] * 9))
 
-    @property
-    def trapped_fraction(self) -> float:
-        """Probability of a low-field-seeking (m > 0) outcome."""
-        return float(sum(self.probabilities[5:]))
-
 
 @dataclass(frozen=True)
 class TransferReport:
@@ -98,10 +93,6 @@ class TransferReport:
     mean_radius: float           # m
     mean_radius_expected: float  # m, sqrt(8/pi) sigma
     mean_radius_stderr: float    # m
-
-    @property
-    def trapped_fraction(self) -> float:
-        return self.trapped / self.particles
 
 
 def _fold(moments, x: np.ndarray, scratch: np.ndarray):

@@ -18,6 +18,7 @@ from .constants import MU_B
 from .errors import ConfigError
 from .excitation import LightField
 from .species import SpeciesData, chromium52
+from .tables import read_text
 
 _FLOAT = "float"
 _INT = "int"
@@ -247,13 +248,7 @@ def load_scenario(path: str | None = None,
     if path is None:
         scenario = parse_scenario("")
     else:
-        # unreadable files propagate as OSError (I/O failure, not config)
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                text = fh.read()
-            except UnicodeDecodeError as exc:
-                raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-        scenario = parse_scenario(text)
+        scenario = parse_scenario(read_text(path))
     if seed_override is not None:
         scenario = scenario.with_seed(seed_override)
     return scenario

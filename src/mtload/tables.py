@@ -139,10 +139,15 @@ def parse_csv(text: str) -> ParsedTable:
                        data=data)
 
 
-def read_csv(path: str) -> ParsedTable:
+def read_text(path: str) -> str:
+    """The file's text; a file that is not UTF-8 is a ConfigError naming
+    it, while an unreadable one propagates as OSError (an I/O failure)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
-    return parse_csv(text)
+
+
+def read_csv(path: str) -> ParsedTable:
+    return parse_csv(read_text(path))

@@ -1,4 +1,5 @@
 import re
+import types
 from pathlib import Path
 
 import mtload
@@ -15,3 +16,10 @@ def test_public_names_resolve_and_readme_example_runs():
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["n_of_t"].shape == (50,)
+
+
+def test_all_lists_exactly_the_imported_names():
+    bound = {name for name, value in vars(mtload).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert set(mtload.__all__) - {"__version__"} == bound

@@ -293,6 +293,8 @@ def test_non_finite_data_is_input_error(bad):
         SampleSeries([0.0, bad, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(InputDataError, match="positive"):
         SampleSeries([0.0, 1.0], [1.0, 2.0], [1.0, -abs(bad)])
+    with pytest.raises(InputDataError, match="uncertainties"):
+        SampleSeries([0.0, 1.0], [1.0, 2.0], [1.0, bad])
     values = np.ones((4, 4))
     values[1, 2] = bad
     with pytest.raises(InputDataError, match="finite"):

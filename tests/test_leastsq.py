@@ -62,18 +62,26 @@ def test_stderr_reasonable_for_linear_model(rng):
 
 
 def test_non_convergence_carries_best_iterate(monkeypatch):
+    # the error names the budget and the residual norm reached; a failed
+    # fit takes one Jacobian per iteration and none for standard errors
     monkeypatch.setattr(leastsq, "_MAX_ITER", 2)
+    jacobians = []
+
+    def counted_jacobian(residual_fn, x):
+        jacobians.append(x)
+        return numeric_jacobian(residual_fn, x)
+
+    monkeypatch.setattr(leastsq, "numeric_jacobian", counted_jacobian)
     t = np.linspace(0.0, 5.0, 40)
     y = 3.2 * np.exp(-0.8 * t)
 
     def residual(p):
         return p[0] * np.exp(-p[1] * t) - y
 
-    with pytest.raises(FitNotConvergedError) as err:
+    with pytest.raises(FitNotConvergedError,
+                       match=r"within 2 iterations \(residual norm "):
         least_squares(residual, [100.0, 5.0], ("a", "k"))
-    best = err.value.best
-    assert best is not None and not best.converged
-    assert best.iterations == 2
+    assert len(jacobians) == 2
 
 
 def test_refused_steps_keep_parameter_in_domain():
