@@ -22,8 +22,8 @@ class UntrappedCloudError(MtloadError):
 
 
 class FitNotConvergedError(MtloadError):
-    """An iterative fit exhausted its iteration budget; the message gives
-    the budget and the residual norm reached."""
+    """An iterative fit exhausted its iteration budget or stalled; the
+    message names which, and the residual norm reached."""
 
 
 class GravityAxisError(MtloadError):

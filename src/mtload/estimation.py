@@ -21,7 +21,7 @@ from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B
 from .dynamics import RateModel, decay_density_at
 from .errors import ConfigError, GravityAxisError, InputDataError
-from .leastsq import FitResult, _covariance, least_squares
+from .leastsq import FitResult, _stderr, least_squares
 from .species import SpeciesData
 from .tables import ResultTable
 
@@ -51,10 +51,9 @@ class SampleSeries:
             sig = np.asarray(self.y_sigma, dtype=float)
             if sig.shape != self.x.shape:
                 raise InputDataError("y_sigma must match x in length")
-            if not np.all(sig > 0):
-                raise InputDataError("uncertainties must be positive")
-            if not np.all(np.isfinite(sig)):
-                raise InputDataError("uncertainties must be finite")
+            if not np.all(np.isfinite(sig) & (sig > 0)):
+                raise InputDataError(
+                    "uncertainties must be positive and finite")
             object.__setattr__(self, "y_sigma", sig)
 
     def require_time_axis(self):
@@ -357,9 +356,9 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
 
 def fit_linear(data: SampleSeries) -> FitResult:
     """Straight-line least squares, uncertainty-weighted when sigmas are
-    present. Closed form, no iteration. Unweighted, the covariance is
-    least_squares' (scaled by the reduced chi-square); weighted, it takes
-    the sigmas as absolute."""
+    present. Closed form, no iteration. The standard errors come from
+    least_squares' SVD routine on the weighted design: unweighted, scaled
+    by the reduced chi-square; weighted, taking the sigmas as absolute."""
     x, y = data.x, data.y
     if len(x) < 3:
         raise InputDataError("need at least 3 points for a line fit")
@@ -373,11 +372,8 @@ def fit_linear(data: SampleSeries) -> FitResult:
     coef = np.linalg.solve(normal, rhs)
     resid = y - design @ coef
     ssr_w = float(resid @ (w * resid))
-    if data.y_sigma is None:
-        cov = _covariance(design, ssr_w)
-    else:
-        cov = np.linalg.inv(normal)
-    stderr = np.sqrt(np.diag(cov))
+    s2 = ssr_w / (x.size - 2) if data.y_sigma is None else 1.0
+    stderr = _stderr(design * np.sqrt(w)[:, None], s2)
     return FitResult(
         params={"slope": float(coef[0]), "intercept": float(coef[1])},
         stderr={"slope": float(stderr[0]), "intercept": float(stderr[1])},
@@ -503,10 +499,11 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     ``t0`` comes from an independent ground-state decay measurement.
     beta stays positive: a step that would take it to zero or below is
     refused and shortened, so data without two-body loss give a small
-    positive beta with a finite stderr. extras report how much the fitted
-    beta moves when t0 is perturbed by +-50% (the t0_sensitivity
-    fraction). When beta is below twice its stderr, so consistent with 0,
-    extras carry ``beta_consistent_with_zero = True`` instead.
+    positive beta, whose stderr is NaN where the data do not determine it.
+    extras report how much the fitted beta moves when t0 is perturbed by
+    +-50% (the t0_sensitivity fraction). When beta is not at least twice
+    its stderr, so consistent with 0 or without an uncertainty, extras
+    carry ``beta_consistent_with_zero = True`` instead.
     """
     density_series.require_time_axis()
     if t0 <= 0:
@@ -538,7 +535,7 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
 
     result = fit_beta(t0)
     beta = result.params["beta"]
-    if beta < 2.0 * result.stderr["beta"]:
+    if not beta >= 2.0 * result.stderr["beta"]:
         # a shift relative to a beta that the data do not tell from 0
         # means nothing
         result.extras["beta_consistent_with_zero"] = True

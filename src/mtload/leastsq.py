@@ -5,8 +5,13 @@ residual function; the residual callable is the whole contract. Jacobians
 are numeric central differences with a relative step of 1e-6. Iteration is
 declared converged when the relative parameter change falls below 1e-8 or
 the relative change of the residual norm below 1e-10; exhausting the
-iteration budget raises FitNotConvergedError. No randomized restarts:
-results are deterministic functions of the input.
+iteration budget, or a stall where no step lowers the sum of squares,
+raises FitNotConvergedError. No randomized restarts: results are
+deterministic functions of the input.
+
+Standard errors are sqrt(s2 diag((J^T J)^-1)), s2 the reduced chi-square,
+from the SVD of the column-scaled Jacobian: NaN, never an exact 0, for a
+parameter the data leave free or when no degree of freedom is left.
 
 A residual that is not finite marks a point outside the model's domain. A
 step whose sum of squares is infinite or NaN is never accepted: the damping
@@ -30,6 +35,7 @@ _LAMBDA0 = 1e-3
 _LAMBDA_SHRINK = 0.3
 _LAMBDA_GROW = 10.0
 _LAMBDA_MAX = 1e12
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -67,18 +73,24 @@ def numeric_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _covariance(jac: np.ndarray, ssr: float) -> np.ndarray:
-    m, n = jac.shape
-    jtj = jac.T @ jac
-    try:
-        inv = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        inv = np.linalg.pinv(jtj)
-    dof = m - n
-    # with no residual degree of freedom the scale, so every error, is
-    # unknown: NaN, never an exact 0
-    s2 = ssr / dof if dof > 0 else math.nan
-    return s2 * inv
+def _stderr(jac: np.ndarray, s2: float) -> np.ndarray:
+    """Standard errors sqrt(s2 diag((J^T J)^-1)) from the SVD of J.
+
+    J's columns are scaled to unit norm first, so that parameters of very
+    different size do not look degenerate. A singular value at or below
+    max(m, n) eps s_max marks a direction the data leave free, and a
+    parameter whose weight in such a direction exceeds sqrt(eps) gets NaN,
+    never an exact 0; so does every parameter of a non-finite J.
+    """
+    if not np.all(np.isfinite(jac)):
+        return np.full(jac.shape[1], math.nan)
+    norms = np.linalg.norm(jac, axis=0)
+    norms[norms == 0.0] = 1.0
+    _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
+    free = sv <= max(jac.shape) * _EPS * sv[0]
+    var = np.sum((vt[~free] / sv[~free, None]) ** 2, axis=0)
+    var[np.any(np.abs(vt[free]) > math.sqrt(_EPS), axis=0)] = math.nan
+    return np.sqrt(s2 * var) / norms
 
 
 def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
@@ -98,8 +110,6 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
         raise ValueError(f"the residual at the start point {x.tolist()} is "
                          "not finite: it lies outside the model's domain")
     lam = _LAMBDA0
-    converged = False
-    iterations = 0
 
     for iterations in range(1, _MAX_ITER + 1):
         jac = numeric_jacobian(residual_fn, x)
@@ -123,7 +133,9 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
                 break
             lam *= _LAMBDA_GROW
         if not accepted:
-            break
+            raise FitNotConvergedError(
+                f"stalled at iteration {iterations}: no step lowers the sum "
+                f"of squares (residual norm {math.sqrt(ssr):.6e})")
 
         dx_rel = np.max(np.abs(x_new - x) / np.maximum(np.abs(x_new), 1e-300))
         df_rel = abs(math.sqrt(ssr) - math.sqrt(ssr_new)) / max(
@@ -131,20 +143,20 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
         x, r, ssr = x_new, r_new, ssr_new
         lam = max(lam * _LAMBDA_SHRINK, 1e-12)
         if dx_rel < _XTOL or df_rel < _FTOL:
-            converged = True
             break
-
-    if not converged:
+    else:
         raise FitNotConvergedError(
             f"no convergence within {_MAX_ITER} iterations "
             f"(residual norm {math.sqrt(ssr):.6e})")
-    jac = numeric_jacobian(residual_fn, x)
-    cov = _covariance(jac, ssr)
-    stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    dof = r.size - x.size
+    # with no residual degree of freedom the scale, so every error, is
+    # unknown: NaN, never an exact 0
+    s2 = ssr / dof if dof > 0 else math.nan
+    stderr = _stderr(numeric_jacobian(residual_fn, x), s2)
     return FitResult(
         params=dict(zip(names, x.tolist())),
         stderr=dict(zip(names, stderr.tolist())),
         residual_norm=math.sqrt(ssr),
-        converged=converged,
+        converged=True,
         iterations=iterations,
     )

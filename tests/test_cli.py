@@ -265,6 +265,25 @@ def test_fit_loading_curve_round_trip(tmp_path, small_scenario):
     assert abs(r_fit / r_truth - 1) < 1e-6
 
 
+def test_fit_loading_curve_saturated_tau_stderr_is_nan(tmp_path):
+    # samples 16 s apart: every one after t = 0 is saturated, so the data
+    # do not determine tau; its stderr once printed as an exact 0.0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("sim.t_end_s = 800\nnoise.sigma_rel = 0.005\n",
+                   encoding="utf-8")
+    _, data = run_to_file(
+        tmp_path, ["simulate-loading", "--scenario", str(cfg)], "load.csv")
+    code, fit_out = run_to_file(
+        tmp_path, ["fit", "loading-curve", str(data), "--scenario", str(cfg)],
+        "fit.csv")
+    assert code == 0
+    rows = dict(line.split(",", 1) for line in
+                fit_out.read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#"))
+    assert rows["tau"].split(",")[1] == "nan"
+    assert float(rows["N0"].split(",")[1]) > 0
+
+
 def test_fit_two_body_round_trip(tmp_path, small_scenario):
     _, data = run_to_file(
         tmp_path, ["simulate-decay", "--scenario", small_scenario],

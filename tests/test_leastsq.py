@@ -139,3 +139,46 @@ def test_no_residual_dof_gives_nan_stderr():
     assert res.params["a"] == pytest.approx(1.0)
     assert res.params["b"] == pytest.approx(2.0)
     assert all(np.isnan(v) for v in res.stderr.values())
+
+
+def test_stall_names_its_iteration():
+    # finite only at its start point: no step is ever accepted, so the fit
+    # stops in its first iteration and says so, not that a budget ran out
+    def residual(p):
+        if p[0] != 1.0:
+            return np.full(2, np.nan)
+        return np.array([1.0, 2.0])
+
+    with pytest.raises(FitNotConvergedError,
+                       match=r"^stalled at iteration 1: no step lowers the "
+                             r"sum of squares \(residual norm 2\.236068e\+00\)"):
+        least_squares(residual, [1.0], ("a",))
+
+
+def test_zero_jacobian_column_gives_nan_stderr():
+    # a parameter that moves no residual is free: NaN, never an exact 0;
+    # its orthogonal partners keep sqrt(s2) / ||column||, however unlike
+    # their sizes are
+    jac = np.array([[3.0, 0.0, 0.0],
+                    [0.0, 1e17, 0.0],
+                    [4.0, 0.0, 0.0],
+                    [0.0, 1e17, 0.0]])
+    stderr = leastsq._stderr(jac, 2.0)
+    assert np.isnan(stderr[2])
+    assert stderr[0] == pytest.approx(np.sqrt(2.0) / 5.0, rel=1e-15, abs=0)
+    assert stderr[1] == pytest.approx(np.sqrt(2.0) / (np.sqrt(2.0) * 1e17),
+                                      rel=1e-15, abs=0)
+
+
+def test_jacobian_reaching_outside_domain_gives_nan_stderr():
+    # the fit stops 1e-7 inside its domain p > 1, closer than the
+    # Jacobian's step, so one difference is infinite: the error is unknown
+    # (NaN), where an inverse of the infinite J^T J once gave 0.0
+    def residual(p):
+        if not p[0] > 1.0:
+            return np.full(2, np.inf)
+        return np.array([p[0], 1e6])
+
+    res = least_squares(residual, [2.0000002], ("p",))
+    assert res.params["p"] == pytest.approx(1.0000001, rel=1e-15)
+    assert np.isnan(res.stderr["p"])
