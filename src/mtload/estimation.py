@@ -257,11 +257,8 @@ def image_to_table(image: DensityImage, mode: str = "projection"):
     be rebuilt exactly."""
     c0, c1 = image.coordinates()
     unit = "1/m^3" if mode == "slice" else "1/m^2"
-    rows = [
-        (float(c0[i, j]), float(c1[i, j]), float(image.values[i, j]))
-        for i in range(image.values.shape[0])
-        for j in range(image.values.shape[1])
-    ]
+    rows = np.column_stack((c0.ravel(), c1.ravel(),
+                            image.values.ravel())).tolist()
     provenance = [
         ("image-shape", f"{image.values.shape[0]}x{image.values.shape[1]}"),
         ("image-pitch-m", repr(image.pitch)),
@@ -399,12 +396,10 @@ def _image_initial_guess(image: DensityImage, mode: str):
     n0_0 = peak if mode == "slice" else peak * b0 / scale
     # sag from the vertical log-asymmetry one mean radius above/below the
     # horizontal center of the image
-    if image.axes[0] == "y":
-        j_mid = v.shape[1] // 2
-        vert_coords, column = y[:, j_mid], v[:, j_mid]
-    else:
-        j_mid = v.shape[0] // 2
-        vert_coords, column = y[j_mid, :], v[j_mid, :]
+    if image.axes[0] != "y":
+        y, v = y.T, v.T
+    j_mid = v.shape[1] // 2
+    vert_coords, column = y[:, j_mid], v[:, j_mid]
     i_up = int(np.argmin(np.abs(vert_coords - r_mean)))
     i_dn = int(np.argmin(np.abs(vert_coords + r_mean)))
     g0 = 0.05 * b0

@@ -69,7 +69,9 @@ def numeric_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
         xm[j] -= h
         rp = np.asarray(residual_fn(xp), dtype=float)
         rm = np.asarray(residual_fn(xm), dtype=float)
-        jac[:, j] = (rp - rm) / (xp[j] - xm[j])
+        # inf - inf gives a NaN column: its step is refused, its stderr NaN
+        with np.errstate(invalid="ignore"):
+            jac[:, j] = (rp - rm) / (xp[j] - xm[j])
     return jac
 
 

@@ -18,9 +18,9 @@ freedom, which is exactly 2 E + Z^2 for a standard exponential E
 (chi-square with 2 degrees of freedom, halved) and an independent standard
 normal Z; the pair costs less to draw than one Gamma(3/2) variate. Only
 the trapped atoms are drawn. A call runs on the calling thread and
-streams the trapped atoms through three float buffers of at most
-``_BLOCK`` = 2**17 entries, folding each block's moments into running
-ones, so it holds at most about 3 MiB whatever the count.
+streams each substate's trapped atoms in blocks of at most ``_BLOCK`` =
+2**17 through three float buffers, folding each block's moments into
+running ones, so it holds at most about 3 MiB whatever the count.
 """
 
 import math
@@ -36,8 +36,8 @@ from .species import SpeciesData
 
 ZEEMAN_M_VALUES = tuple(range(-4, 5))
 
-# trapped atoms per block of simulate_transfer: three float64 buffers of
-# this length, 1 MiB each, are all that a call allocates per atom
+# atoms of one substate per block of simulate_transfer: three float64
+# buffers of this length, 1 MiB each, are all that a call allocates per atom
 _BLOCK = 2**17
 
 
@@ -133,22 +133,23 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     |r|^2/sigma^2 and |v|^2/v_th^2 are chi-square with 3 degrees of
     freedom: 2 E + Z^2 for a standard exponential E and an independent
     standard normal Z. The draws are: the atom count per substate (one
-    multinomial over the normalised distribution), then, for the n trapped
-    (m > 0) atoms only, ordered by substate, one block of ``_BLOCK`` =
-    2**17 atoms at a time, each draw filling one value per atom of the
-    block: ``standard_exponential`` E, ``standard_normal`` Z, then
+    multinomial over the normalised distribution), then, for the trapped
+    substates m = 1..4 in turn, that substate's atoms one block of at most
+    ``_BLOCK`` = 2**17 at a time, each draw filling one value per atom of
+    the block: ``standard_exponential`` E, ``standard_normal`` Z, then
     ``standard_exponential`` E' and ``standard_normal`` Z'. Per atom
     |r| = sigma sqrt(2 E + Z^2), the kinetic energy is k_B T G_v with
     G_v = E' + Z'^2/2, a Gamma(3/2) variate, and the potential, in the
     isotropic mean-gradient convention of the analytic estimate, is
-    (g_d m mu_B) b |r|; each m-segment's slice of a block is scaled by its
-    own coefficient, and segments may cross block edges. Each block's
-    radius moments are taken before the radius becomes the potential in
-    place, its energy moments after the potential is added to the kinetic
-    term, and both are merged across blocks by ``_fold``. A call allocates
-    three buffers of min(n, 2**17) floats, about 3 MiB at most, at any
-    count; with one block every figure equals numpy's ``mean`` and
-    ``std(ddof=1)`` over the per-atom values.
+    (g_d m mu_B) b |r|, so every block holds one substate and is scaled by
+    one coefficient. Each block's radius moments are taken before the
+    radius becomes the potential in place, its energy moments after the
+    potential is added to the kinetic term, and both are merged across
+    blocks by ``_fold``. A call allocates three buffers of
+    min(largest substate, 2**17) floats, about 3 MiB at most, at any
+    count. When one block holds every trapped atom, every figure equals
+    numpy's ``mean`` and ``std(ddof=1)`` over the per-atom values;
+    otherwise the merged folds agree with them to 1e-15 relative.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
@@ -161,40 +162,33 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     if n == 0:
         raise ValueError("no trapped atoms: pumping distribution has no "
                          "m > 0 weight or count too small")
-    segments, stop = [], 0
-    for m, atoms in zip(ZEEMAN_M_VALUES[5:], per_m):
-        start, stop = stop, stop + atoms
-        segments.append(
-            (start, stop, species.lande_g_d * m * MU_B * field.gradient))
-    size = min(n, _BLOCK)
+    size = min(max(per_m), _BLOCK)
     radius_buf, total_buf, scratch = (np.empty(size), np.empty(size),
                                       np.empty(size))
     radius_moments = energy_moments = None
-    for first in range(0, n, _BLOCK):
-        last = min(first + _BLOCK, n)
-        k = last - first
-        radius, total, odd = radius_buf[:k], total_buf[:k], scratch[:k]
-        # |r|^2/sigma^2 = 2 E + Z^2 and G_v = E' + Z'^2/2
-        rng.standard_exponential(out=radius)
-        rng.standard_normal(out=odd)
-        np.square(odd, out=odd)
-        radius *= 2.0
-        radius += odd
-        rng.standard_exponential(out=total)
-        rng.standard_normal(out=odd)
-        np.square(odd, out=odd)
-        odd *= 0.5
-        total += odd
-        np.sqrt(radius, out=radius)
-        radius *= mot.size_sigma
-        radius_moments = _fold(radius_moments, radius, scratch)
-        for start, stop, coeff in segments:
-            if start < last and stop > first:
-                radius[max(start, first) - first:
-                       min(stop, last) - first] *= coeff
-        total *= K_B * mot.temperature
-        total += radius
-        energy_moments = _fold(energy_moments, total, scratch)
+    for m, atoms in zip(ZEEMAN_M_VALUES[5:], per_m):
+        coeff = species.lande_g_d * m * MU_B * field.gradient
+        for first in range(0, atoms, _BLOCK):
+            k = min(_BLOCK, atoms - first)
+            radius, total, odd = radius_buf[:k], total_buf[:k], scratch[:k]
+            # |r|^2/sigma^2 = 2 E + Z^2 and G_v = E' + Z'^2/2
+            rng.standard_exponential(out=radius)
+            rng.standard_normal(out=odd)
+            np.square(odd, out=odd)
+            radius *= 2.0
+            radius += odd
+            rng.standard_exponential(out=total)
+            rng.standard_normal(out=odd)
+            np.square(odd, out=odd)
+            odd *= 0.5
+            total += odd
+            np.sqrt(radius, out=radius)
+            radius *= mot.size_sigma
+            radius_moments = _fold(radius_moments, radius, scratch)
+            radius *= coeff
+            total *= K_B * mot.temperature
+            total += radius
+            energy_moments = _fold(energy_moments, total, scratch)
     mean_radius = radius_moments[1]
     radius_err = (_std(radius_moments) / math.sqrt(n) if n > 1 else 0.0)
     t_mc = 2.0 * energy_moments[1] / (9.0 * K_B)

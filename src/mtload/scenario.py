@@ -18,7 +18,7 @@ from .constants import MU_B
 from .errors import ConfigError
 from .excitation import LightField
 from .species import SpeciesData, chromium52
-from .tables import read_text
+from .tables import format_number, read_text
 
 _FLOAT = "float"
 _INT = "int"
@@ -124,12 +124,8 @@ def _parse_value(key: str, kind: str, text: str, lineno: int):
 
 def _format_value(value) -> str:
     if isinstance(value, tuple):
-        return ", ".join(repr(float(v)) for v in value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+        return ", ".join(map(format_number, value))
+    return format_number(value)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,21 @@ def test_stall_names_its_iteration():
                        match=r"^stalled at iteration 1: no step lowers the "
                              r"sum of squares \(residual norm 2\.236068e\+00\)"):
         least_squares(residual, [1.0], ("a",))
+
+
+def test_infinite_residual_on_both_sides_stalls_without_warning():
+    # infinite on both sides of the start point, so each Jacobian column
+    # is inf - inf: the NaN column refuses every step, silently
+    def residual(p):
+        if p[0] != 1.0:
+            return np.full(2, np.inf)
+        return np.array([1.0, 2.0])
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitNotConvergedError,
+                           match=r"^stalled at iteration 1"):
+            least_squares(residual, [1.0], ("a",))
 
 
 def test_zero_jacobian_column_gives_nan_stderr():

@@ -410,49 +410,54 @@ def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
                           QuadrupoleField(gradient), cr, count, seed)
 
 
-def audit_of_draws(cloud, dist, fld, species, count, rng, block):
-    """simulate_transfer's draws audited the plain way: a substate per
-    atom, the exponential and normal draws taken in the documented block
-    order, and each atom's radius and energy computed ``block`` atoms at a
-    time, so the substate segments start and end inside blocks."""
+def audit_of_draws(cloud, dist, fld, species, count, rng):
+    """simulate_transfer's draws audited the plain way: the exponential
+    and normal draws taken in the documented order, substate by substate
+    and BLOCK atoms at a time, then each atom's radius and energy from its
+    own substate over the whole ensemble at once. Also returns the number
+    of blocks drawn."""
     p = np.asarray(dist.probabilities)
-    m = np.repeat(np.array(ZEEMAN_M_VALUES), rng.multinomial(count,
-                                                            p / p.sum()))
+    per_m = rng.multinomial(count, p / p.sum())
+    m = np.repeat(np.array(ZEEMAN_M_VALUES), per_m)
     m = m[m > 0]
-    n = len(m)
-    chi_r, g_v = np.empty(n), np.empty(n)
-    for start in range(0, n, BLOCK):
-        size = min(BLOCK, n - start)
-        e_r, z_r = rng.standard_exponential(size), rng.standard_normal(size)
-        e_v, z_v = rng.standard_exponential(size), rng.standard_normal(size)
-        chi_r[start:start + size] = 2.0 * e_r + z_r * z_r
-        g_v[start:start + size] = e_v + 0.5 * (z_v * z_v)
-    radius, total = np.empty(n), np.empty(n)
-    for start in range(0, n, block):
-        atoms = slice(start, start + block)
-        radius[atoms] = cloud.size_sigma * np.sqrt(chi_r[atoms])
-        kinetic = K_B * cloud.temperature * g_v[atoms]
-        potential = (species.lande_g_d * m[atoms] * MU_B * fld.gradient
-                     * radius[atoms])
-        total[atoms] = kinetic + potential
-    return n, total, radius
+    chi_r, g_v = [], []
+    for atoms in per_m[5:]:
+        for first in range(0, atoms, BLOCK):
+            size = min(BLOCK, atoms - first)
+            e_r = rng.standard_exponential(size)
+            z_r = rng.standard_normal(size)
+            e_v = rng.standard_exponential(size)
+            z_v = rng.standard_normal(size)
+            chi_r.append(2.0 * e_r + z_r * z_r)
+            g_v.append(e_v + 0.5 * (z_v * z_v))
+    radius = cloud.size_sigma * np.sqrt(np.concatenate(chi_r))
+    kinetic = K_B * cloud.temperature * np.concatenate(g_v)
+    potential = species.lande_g_d * m * MU_B * fld.gradient * radius
+    return len(m), kinetic + potential, radius, len(chi_r)
 
 
-@pytest.mark.parametrize("chunk", [7, 65536])
+# two trapped substates, the larger of which spans three blocks at the
+# largest count
+PAIR = PumpingDistribution((0, 0, 0, 0, 0, 0.25, 0, 0, 0.75))
+
+
+@pytest.mark.parametrize("seed", [7, 65536])
 @pytest.mark.parametrize("count", [1000, BLOCK, 131079, 3 * BLOCK + 5])
 @pytest.mark.parametrize("dist", [
     PumpingDistribution.uniform(), PumpingDistribution.point(4), UPPER,
-], ids=["uniform", "m4", "upper"])
+    PumpingDistribution.point(1), PAIR,
+], ids=["uniform", "m4", "upper", "m1", "pair"])
 def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
-                                                      chunk):
-    # the in-place, segment-wise arithmetic gives the same floats as the
-    # per-atom audit of the same draws: ==, not a tolerance, while the
-    # trapped atoms fit in one block; past it the merged block moments sum
-    # in another order than numpy's two passes, so they agree to 1e-15
-    rng = seed_stream(29, "bits")
-    n, total, radius = audit_of_draws(mot(), dist, field, cr, count, rng,
-                                      chunk)
-    sampled_rng = seed_stream(29, "bits")
+                                                      seed):
+    # the in-place, block-wise arithmetic gives the same floats as the
+    # per-atom audit of the same draws: ==, not a tolerance, while one
+    # block holds every trapped atom; with more blocks the merged block
+    # moments sum in another order than numpy's two passes, so they agree
+    # to 1e-15
+    rng = seed_stream(seed, "bits")
+    n, total, radius, blocks = audit_of_draws(mot(), dist, field, cr, count,
+                                              rng)
+    sampled_rng = seed_stream(seed, "bits")
     report = simulate_transfer(mot(), dist, field, cr, count, sampled_rng)
     assert report.trapped == n
     assert sampled_rng.bit_generator.state == rng.bit_generator.state
@@ -464,7 +469,7 @@ def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
         "mean_radius_stderr": float(radius.std(ddof=1)) / math.sqrt(n),
     }
     for name, value in expected.items():
-        if n <= BLOCK:
+        if blocks == 1:
             assert getattr(report, name) == value, name
         else:
             assert getattr(report, name) == pytest.approx(value, rel=1e-15,
@@ -541,14 +546,16 @@ def test_transfer_peak_memory_per_particle(cr, field, dist):
     assert peak / count < 48
 
 
-@pytest.mark.parametrize("dist", [PumpingDistribution.point(4), UPPER],
-                         ids=["m4", "upper"])
-def test_transfer_peak_memory_is_constant_in_the_count(cr, field, dist):
-    # every atom is trapped, so both counts fill whole blocks: the three
-    # block buffers make the peak at 1e6 atoms that of a call just past one
-    # block, and at most 4 MiB
+@pytest.mark.parametrize("dist, small", [
+    (PumpingDistribution.point(4), BLOCK + 1), (UPPER, 3 * BLOCK),
+], ids=["m4", "upper"])
+def test_transfer_peak_memory_is_constant_in_the_count(cr, field, dist,
+                                                       small):
+    # at both counts the largest substate spans more than one block, so
+    # both fill whole buffers: the three block buffers make the peak at 1e6
+    # atoms that of the smaller count, and at most 4 MiB
     peaks = {}
-    for count in (BLOCK + 1, 1_000_000):
+    for count in (small, 1_000_000):
         tracemalloc.start()
         try:
             simulate_transfer(mot(), dist, field, cr, count,
@@ -557,7 +564,7 @@ def test_transfer_peak_memory_is_constant_in_the_count(cr, field, dist):
         finally:
             tracemalloc.stop()
     assert peaks[1_000_000] <= 4 * 2**20
-    assert peaks[1_000_000] <= 1.1 * peaks[BLOCK + 1]
+    assert peaks[1_000_000] <= 1.1 * peaks[small]
 
 
 @given(count=st.integers(-3, 0))
