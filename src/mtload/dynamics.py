@@ -15,8 +15,8 @@ du/dt = u (1/t0 + alpha/(1 + alpha t)) + beta, and from a start time s
     n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w(t') dt'),
     w(t) = exp(-(t - s)/t0) (1 + alpha s)/(1 + alpha t).
 
-The integral of w is the only numerical step, a fixed Gauss-Legendre sum;
-the atom number follows as N = n V.
+The integral of w, free of n(s) and beta, is the only numerical step, a
+fixed Gauss-Legendre sum; the atom number follows as N = n V.
 """
 
 import math
@@ -121,17 +121,16 @@ def mot_on_decay_rate(n_e: float, sigma_ed: float, v: float,
     return gamma_background + n_e * sigma_ed * v
 
 
-def decay_density_at(times: np.ndarray, initial_density: float,
-                     model: RateModel) -> np.ndarray:
-    """Peak density at the given times (times[0] is the start) under the
-    background + two-body + dilution equation, from its exact solution.
+def _decay_solution(times: np.ndarray, t0: float, alpha: float):
+    """The exact decay solution on ``times`` (times[0] is the start) for
+    lifetime t0 and volume growth rate alpha, as ``density(n_s, beta)``.
 
     With s = times[0] and w(t) = exp(-(t-s)/t0) (1 + alpha s)/(1 + alpha t),
 
         n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w),
 
     or w(t) / (1/n(s) + beta int_s^t w) where beta n(s) int_s^t w would
-    overflow.
+    overflow. w and its integral, free of n(s) and beta, are solved once.
 
     The integral is summed with the 32-node Gauss-Legendre rule on panels
     no wider than t0, between break points at the sample times and where
@@ -139,17 +138,12 @@ def decay_density_at(times: np.ndarray, initial_density: float,
     at its start a either.
     """
     times = np.asarray(times, dtype=float)
-    if not (math.isfinite(initial_density) and initial_density > 0):
-        raise ValueError("initial_density must be finite and positive, got "
-                         f"{initial_density!r}")
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a nonempty 1-D array")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
-    t0 = model.background_lifetime
-    beta, alpha = model.two_body_coeff, model.volume_growth_rate
     s = times[0]
 
     def w(t):
@@ -173,14 +167,31 @@ def decay_density_at(times: np.ndarray, initial_density: float,
     integral = np.zeros_like(breaks)
     np.cumsum(np.add.reduceat(per_panel, first), out=integral[1:])
     integral = integral[np.searchsorted(breaks, ends)]
-    scale = float(beta) * float(initial_density)
-    if math.isfinite(scale * float(integral[-1])):
-        return initial_density * w(times) / (1.0 + scale * integral)
-    # beta n(s) int w overflows: the same solution divided through by
-    # n(s), which at s itself is n(s) exactly
-    density = w(times) / (1.0 / initial_density + beta * integral)
-    density[0] = initial_density
+    w_times = w(times)
+
+    def density(n_s: float, beta: float) -> np.ndarray:
+        scale = float(beta) * float(n_s)
+        if math.isfinite(scale * float(integral[-1])):
+            return n_s * w_times / (1.0 + scale * integral)
+        # beta n(s) int w overflows: the same solution divided through by
+        # n(s), which at s itself is n(s) exactly
+        out = w_times / (1.0 / n_s + beta * integral)
+        out[0] = n_s
+        return out
+
     return density
+
+
+def decay_density_at(times: np.ndarray, initial_density: float,
+                     model: RateModel) -> np.ndarray:
+    """Peak density at the given times (times[0] is the start) under the
+    background + two-body + dilution equation (``_decay_solution``)."""
+    if not (math.isfinite(initial_density) and initial_density > 0):
+        raise ValueError("initial_density must be finite and positive, got "
+                         f"{initial_density!r}")
+    solution = _decay_solution(times, model.background_lifetime,
+                               model.volume_growth_rate)
+    return solution(initial_density, model.two_body_coeff)
 
 
 def integrate_mt_decay(initial_density: float, model: RateModel,

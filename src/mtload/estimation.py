@@ -19,7 +19,7 @@ import numpy as np
 
 from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B
-from .dynamics import RateModel, decay_density_at
+from .dynamics import _decay_solution
 from .errors import ConfigError, GravityAxisError, InputDataError
 from .leastsq import FitResult, _stderr, least_squares
 from .species import SpeciesData
@@ -328,10 +328,8 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
     if n0_guess <= 0:
         raise InputDataError("no sample is positive, so the fit has no "
                              "start point with N0 > 0")
-    target = (1.0 - 1.0 / math.e) * n0_guess
-    above = np.nonzero(y >= target)[0]
+    tau_guess = float(t[np.argmax(y >= (1.0 - 1.0 / math.e) * n0_guess)])
     span = float(t[-1] - t[0])
-    tau_guess = float(t[above[0]]) if above.size else span / 3.0
     if tau_guess <= 0:
         tau_guess = span / len(t)
     weight = 1.0 if data.y_sigma is None else 1.0 / data.y_sigma
@@ -488,9 +486,9 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
                       volume_series: SampleSeries) -> FitResult:
     """Single-parameter fit of the two-body coefficient beta.
 
-    The volume history is fitted linearly first; every model evaluation
-    then takes the exact solution of the decay equation from the first
-    density sample (``decay_density_at``).
+    The volume history is fitted linearly first; the exact decay solution
+    from the first density sample has its beta-free parts solved once per
+    t0 value (``_decay_solution``), so a model evaluation is one line.
     ``t0`` comes from an independent ground-state decay measurement.
     beta stays positive: a step that would take it to zero or below is
     refused and shortened, so data without two-body loss give a small
@@ -512,13 +510,12 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     refused = np.full(t.size, math.inf)
 
     def fit_beta(t0_value: float) -> FitResult:
+        density = _decay_solution(t, t0_value, alpha)
+
         def residual(p):
             if not p[0] > 0.0:
                 return refused
-            model = RateModel(background_lifetime=t0_value,
-                              two_body_coeff=float(p[0]),
-                              initial_volume=v0, volume_growth_rate=alpha)
-            return decay_density_at(t, n_init, model) - y
+            return density(n_init, p[0]) - y
 
         # early-time excess decay rate over background and dilution sets
         # the starting beta

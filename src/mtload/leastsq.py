@@ -119,7 +119,6 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
         grad = jac.T @ r
         diag = np.diag(jtj).copy()
         diag[diag <= 0] = 1.0
-        accepted = False
         while lam <= _LAMBDA_MAX:
             try:
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
@@ -131,10 +130,9 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
             ssr_new = float(r_new @ r_new)
             # False for an infinite or NaN ssr_new: the step is refused
             if ssr_new <= ssr:
-                accepted = True
                 break
             lam *= _LAMBDA_GROW
-        if not accepted:
+        else:
             raise FitNotConvergedError(
                 f"stalled at iteration {iterations}: no step lowers the sum "
                 f"of squares (residual norm {math.sqrt(ssr):.6e})")

@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from mtload import cli, pipelines
+from mtload import RateModel, cli, pipelines
 from mtload.cli import main
-from mtload.estimation import (DensityImage, image_to_table,
-                               render_density_image)
+from mtload.dynamics import decay_density_at
+from mtload.estimation import (DensityImage, SampleSeries, fit_linear,
+                               image_to_table, render_density_image)
 from mtload.leastsq import FitResult
 from mtload.tables import ResultTable, parse_csv
 
@@ -403,6 +404,11 @@ def test_fit_missing_column_is_config_error(tmp_path):
      "no sample is positive"),
     ("two-body", "t(s),n0(1/m^3),V(m^3)\n0,1e16,-1e-9\n1,9e15,-1.1e-9\n"
      "2,8e15,-1.2e-9\n", "non-positive initial volume"),
+    ("two-body", "t(s),n0(1/m^3),V(m^3)\n0,-1e16,1e-9\n1,9e15,1.1e-9\n"
+     "2,8e15,1.2e-9\n", "first density sample must be positive"),
+    pytest.param("density-image", image_to_table(DensityImage(
+        np.zeros((2, 2)), 2e-5, ("y", "x"))).to_csv(),
+        "degenerate image: all pixels zero", id="density-image-all-zero"),
 ])
 def test_fit_input_data_error_exit_code(tmp_path, capsys, fitter, text,
                                         message):
@@ -463,14 +469,31 @@ def test_input_that_is_not_utf8_is_config_error(tmp_path, capsys, args):
     assert "not UTF-8" in err
 
 
-def test_fit_unknown_image_mode_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("header,replacement,message", [
+    pytest.param("# image-mode = projection\n", "# image-mode = sideways\n",
+                 "unknown image-mode 'sideways'", id="unknown-mode"),
+    pytest.param("# image-mode = projection\n", "",
+                 "lacks required header 'image-mode'", id="no-mode"),
+    pytest.param("# image-shape = 8x8\n", "# image-shape = 8xA\n",
+                 "bad image header", id="shape-not-a-number"),
+    pytest.param("# image-axes = y,x\n", "# image-axes = y\n",
+                 "image-axes must name two axes", id="one-axis"),
+    pytest.param("# image-shape = 8x8\n", "# image-shape = 8x7\n",
+                 "image has 64 pixels but header says 8x7",
+                 id="pixel-count"),
+])
+def test_fit_unknown_image_mode_is_config_error(tmp_path, capsys, header,
+                                                replacement, message):
     image = render_density_image(1e16, 5e3, 2e2, pitch=2e-5, shape=(8, 8))
     text = image_to_table(image).to_csv()
+    assert header in text
     data = tmp_path / "img.csv"
-    data.write_text(text.replace("image-mode = projection",
-                                 "image-mode = sideways"), encoding="utf-8")
-    assert main(["fit", "density-image", str(data)]) == 2
-    assert "sideways" in capsys.readouterr().err
+    data.write_text(text.replace(header, replacement), encoding="utf-8")
+    out = tmp_path / "fit.csv"
+    assert main(["fit", "density-image", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("shape,rows", [("-2x-3", 6), ("0x0", 0)])
@@ -511,6 +534,49 @@ def test_fit_linear_from_figure3_output(tmp_path, small_scenario):
     slope = float([l for l in text.splitlines()
                    if l.startswith("slope,")][0].split(",")[1])
     assert slope == pytest.approx(1e-15, rel=1e-6)
+
+
+def test_fit_linear_weighs_by_a_y_sigma_column(tmp_path):
+    data = tmp_path / "line.csv"
+    data.write_text("x(1),y(1),y_sigma(1)\n0,1,0.1\n1,3.1,0.2\n"
+                    "2,4.9,0.1\n3,7.2,0.3\n", encoding="utf-8")
+    code, fit_out = run_to_file(tmp_path, ["fit", "linear", str(data)],
+                                "fit.csv")
+    assert code == 0
+    rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
+            for line in fit_out.read_text(encoding="utf-8").splitlines()
+            if line.startswith(("slope,", "intercept,"))}
+    # the CLI fits the parsed table's columns, which are strided views;
+    # fit_linear's last digits depend on that layout, so the library runs
+    # on the same views here
+    parsed = parse_csv(data.read_text(encoding="utf-8"))
+    x, y = parsed.data[:, 0], parsed.data[:, 1]
+    weighted = fit_linear(SampleSeries(x, y, parsed.column("y_sigma")))
+    plain = fit_linear(SampleSeries(x, y))
+    for name, (value, stderr) in rows.items():
+        assert value == weighted.params[name]
+        assert stderr == weighted.stderr[name]
+        assert value != plain.params[name]
+    assert list(rows) == ["slope", "intercept"]
+
+
+def test_fit_two_body_with_shrinking_volume(tmp_path):
+    # V = 1e-9 (1 - 0.05 t) shrinks: the fitted growth rate is clamped to 0
+    t = np.linspace(0.0, 10.0, 21)
+    n = decay_density_at(t, 1e16, RateModel(background_lifetime=60.0,
+                                            two_body_coeff=7e-17))
+    data = tmp_path / "decay.csv"
+    data.write_text("t(s),n0(1/m^3),V(m^3)\n" + "".join(
+        f"{ti!r},{ni!r},{1e-9 * (1.0 - 0.05 * ti)!r}\n"
+        for ti, ni in zip(t.tolist(), n.tolist())), encoding="utf-8")
+    code, fit_out = run_to_file(tmp_path, ["fit", "two-body", str(data)],
+                                "fit.csv")
+    assert code == 0
+    text = fit_out.read_text(encoding="utf-8")
+    rows = {line.split(",")[0]: line.split(",")[1:]
+            for line in text.splitlines() if not line.startswith("#")}
+    assert rows["volume_alpha"][0] == "0.0"
+    assert float(rows["beta"][0]) == pytest.approx(7e-17, rel=1e-6)
 
 
 def _fresh_env():

@@ -8,7 +8,7 @@ from scipy import integrate, special
 
 from mtload import (RateModel, Trajectory, integrate_mt_decay, loading_curve,
                     mot_on_decay_rate, steady_state_population)
-from mtload.dynamics import decay_density_at
+from mtload.dynamics import _decay_solution, decay_density_at
 
 
 def closed_form_decay(t, n0, t0, beta, alpha):
@@ -189,6 +189,8 @@ def test_decay_matches_independent_oracles(case):
     got = decay_density_at(times, n0, model)
     np.testing.assert_allclose(got, ode_decay(times, n0, t0, beta, alpha),
                                rtol=1e-9)
+    np.testing.assert_array_equal(_decay_solution(times, t0, alpha)(n0, beta),
+                                  got)
 
 
 def test_decay_far_past_the_exponential_underflow():
@@ -259,6 +261,8 @@ def test_decay_with_overflowing_two_body_term(beta, n0):
     np.testing.assert_allclose(
         density[1:], closed_form_decay(times[1:], n0, 60.0, beta, 0.1),
         rtol=1e-11)
+    np.testing.assert_array_equal(_decay_solution(times, 60.0, 0.1)(n0, beta),
+                                  density)
 
 
 @pytest.mark.parametrize("density", (math.nan, math.inf, 0.0, -1.0))

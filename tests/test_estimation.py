@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -14,7 +15,7 @@ from mtload import (DensityImage, FitNotConvergedError, GravityAxisError,
                     fit_two_body_loss, render_density_image, shape_params)
 from mtload.constants import G_ACCEL, K_B, MU_B
 from mtload.dynamics import decay_density_at
-from mtload import estimation
+from mtload import dynamics, estimation
 from mtload.estimation import (SampleSeries, image_from_table,
                                image_to_table, profile_model)
 from mtload.mc import seed_stream
@@ -568,6 +569,37 @@ def test_two_body_fit_zero_beta_consistent_with_zero():
     # it: its stderr is NaN, which must still read as consistent with 0
     assert res.extras["beta_consistent_with_zero"]
     assert "t0_sensitivity" not in res.extras
+
+
+@pytest.mark.parametrize("beta,fits", [(7e-17, 3), (0.0, 1)])
+def test_two_body_fit_solves_the_decay_once_per_fit(monkeypatch, beta, fits):
+    # w and its integral do not depend on beta, so each least_squares call
+    # (one per t0 value: three with t0_sensitivity, one when beta is
+    # consistent with 0) builds one solution, and no residual runs the
+    # whole of decay_density_at
+    density, volume = synthetic_decay(beta=beta)
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("decay_density_at called during the fit")
+
+    monkeypatch.setattr(estimation, "_decay_solution",
+                        counted("solutions", estimation._decay_solution))
+    monkeypatch.setattr(estimation, "least_squares",
+                        counted("fits", estimation.least_squares))
+    for module in (dynamics, estimation):
+        monkeypatch.setattr(module, "decay_density_at", forbidden,
+                            raising=False)
+    res = fit_two_body_loss(density, 60.0, volume)
+    assert ("t0_sensitivity" in res.extras) == (fits == 3)
+    assert res.extras.get("beta_consistent_with_zero", False) == (fits == 1)
+    assert counts == {"solutions": fits, "fits": fits}
 
 
 def test_two_body_fit_input_validation():

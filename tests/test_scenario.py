@@ -81,6 +81,8 @@ def test_duplicate_key_rejected():
 def test_bad_value_reports_line_and_key():
     with pytest.raises(ConfigError, match="line 1: mot.atom_number"):
         parse_scenario("mot.atom_number = many")
+    with pytest.raises(ConfigError, match="line 1: seed: expected an integer"):
+        parse_scenario("seed = 1.5")
 
 
 def test_validation_reports_field_path():
