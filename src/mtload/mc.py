@@ -16,11 +16,15 @@ instead of 3-D positions and velocities. For an isotropic Gaussian,
 |r|^2/sigma^2 and |v|^2/v_th^2 are each chi-square with 3 degrees of
 freedom, which is exactly 2 E + Z^2 for a standard exponential E
 (chi-square with 2 degrees of freedom, halved) and an independent standard
-normal Z; the pair costs less to draw than one Gamma(3/2) variate. Only
-the trapped atoms are drawn. A call runs on the calling thread and
-streams each substate's trapped atoms in blocks of at most ``_BLOCK`` =
-2**17 through three float buffers, folding each block's moments into
-running ones, so it holds at most about 3 MiB whatever the count.
+normal Z. Each atom needs two such squared normals, Z^2 and Z'^2, and
+the Box-Muller polar identity gives the pair from one exponential E'' and
+one uniform U: Z^2 = 2 E'' c and Z'^2 = 2 E'' (1 - c) with
+c = cos^2(pi U), which costs less than two normal draws. Only the trapped
+atoms are drawn. A call runs on the calling thread and streams each
+substate's trapped atoms in blocks of at most ``_BLOCK`` = 2**14 through
+three float buffers, folding each block's moments into running ones, so
+it holds at most 384 KiB, small enough for a core's L2 cache, whatever
+the count.
 """
 
 import math
@@ -37,8 +41,9 @@ from .species import SpeciesData
 ZEEMAN_M_VALUES = tuple(range(-4, 5))
 
 # atoms of one substate per block of simulate_transfer: three float64
-# buffers of this length, 1 MiB each, are all that a call allocates per atom
-_BLOCK = 2**17
+# buffers of this length, 128 KiB each, are all that a call allocates per
+# atom
+_BLOCK = 2**14
 
 
 def seed_stream(seed: int, label: str) -> np.random.Generator:
@@ -135,21 +140,23 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     standard normal Z. The draws are: the atom count per substate (one
     multinomial over the normalised distribution), then, for the trapped
     substates m = 1..4 in turn, that substate's atoms one block of at most
-    ``_BLOCK`` = 2**17 at a time, each draw filling one value per atom of
-    the block: ``standard_exponential`` E, ``standard_normal`` Z, then
-    ``standard_exponential`` E' and ``standard_normal`` Z'. Per atom
-    |r| = sigma sqrt(2 E + Z^2), the kinetic energy is k_B T G_v with
-    G_v = E' + Z'^2/2, a Gamma(3/2) variate, and the potential, in the
-    isotropic mean-gradient convention of the analytic estimate, is
-    (g_d m mu_B) b |r|, so every block holds one substate and is scaled by
-    one coefficient. Each block's radius moments are taken before the
-    radius becomes the potential in place, its energy moments after the
-    potential is added to the kinetic term, and both are merged across
-    blocks by ``_fold``. A call allocates three buffers of
-    min(largest substate, 2**17) floats, about 3 MiB at most, at any
-    count. When one block holds every trapped atom, every figure equals
-    numpy's ``mean`` and ``std(ddof=1)`` over the per-atom values;
-    otherwise the merged folds agree with them to 1e-15 relative.
+    ``_BLOCK`` = 2**14 at a time, each draw filling one value per atom of
+    the block in the order ``standard_exponential`` E'', ``random`` U,
+    ``standard_exponential`` E' and ``standard_exponential`` E. Box-Muller
+    makes Z^2/2 = E'' c and Z'^2/2 = E'' (1 - c) of the first two, with
+    c = cos^2(pi U). Per atom |r| = sigma sqrt(2 (E + Z^2/2)), the kinetic
+    energy is k_B T G_v with G_v = E' + Z'^2/2, a Gamma(3/2) variate, and
+    the potential, in the isotropic mean-gradient convention of the
+    analytic estimate, is (g_d m mu_B) b |r|, so every block holds one
+    substate and is scaled by one coefficient. Each block's radius moments
+    are taken before the radius becomes the potential in place, its
+    energy moments after the potential is added to the kinetic term, and
+    both are merged across blocks by ``_fold``. A call allocates three
+    buffers of min(largest substate, 2**14) floats, 384 KiB at most, at
+    any count. When one block holds every trapped atom, every figure
+    equals numpy's ``mean`` and ``std(ddof=1)`` over the per-atom values;
+    otherwise the merged folds agree with them to 1e-15 relative. Fewer
+    than 2 trapped atoms have no sample variance and raise ``ValueError``.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
@@ -162,6 +169,9 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     if n == 0:
         raise ValueError("no trapped atoms: pumping distribution has no "
                          "m > 0 weight or count too small")
+    if n == 1:
+        raise ValueError("only 1 trapped atom: the statistical errors need "
+                         "at least 2")
     size = min(max(per_m), _BLOCK)
     radius_buf, total_buf, scratch = (np.empty(size), np.empty(size),
                                       np.empty(size))
@@ -171,17 +181,21 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
         for first in range(0, atoms, _BLOCK):
             k = min(_BLOCK, atoms - first)
             radius, total, odd = radius_buf[:k], total_buf[:k], scratch[:k]
-            # |r|^2/sigma^2 = 2 E + Z^2 and G_v = E' + Z'^2/2
+            # Box-Muller: Z^2/2 = E'' c and Z'^2/2 = E'' (1 - c), with
+            # c = cos^2(pi U); then G_v = E' + Z'^2/2 and
+            # |r|^2/sigma^2 = 2 (E + Z^2/2)
             rng.standard_exponential(out=radius)
-            rng.standard_normal(out=odd)
+            rng.random(out=odd)
+            odd *= math.pi
+            np.cos(odd, out=odd)
             np.square(odd, out=odd)
-            radius *= 2.0
-            radius += odd
+            odd *= radius
             rng.standard_exponential(out=total)
-            rng.standard_normal(out=odd)
-            np.square(odd, out=odd)
-            odd *= 0.5
-            total += odd
+            radius -= odd
+            total += radius
+            rng.standard_exponential(out=radius)
+            radius += odd
+            radius *= 2.0
             np.sqrt(radius, out=radius)
             radius *= mot.size_sigma
             radius_moments = _fold(radius_moments, radius, scratch)
@@ -190,10 +204,9 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
             total += radius
             energy_moments = _fold(energy_moments, total, scratch)
     mean_radius = radius_moments[1]
-    radius_err = (_std(radius_moments) / math.sqrt(n) if n > 1 else 0.0)
+    radius_err = _std(radius_moments) / math.sqrt(n)
     t_mc = 2.0 * energy_moments[1] / (9.0 * K_B)
-    t_err = (2.0 * _std(energy_moments) / (9.0 * K_B * math.sqrt(n))
-             if n > 1 else 0.0)
+    t_err = 2.0 * _std(energy_moments) / (9.0 * K_B * math.sqrt(n))
     return TransferReport(
         particles=count,
         trapped=n,

@@ -69,7 +69,7 @@ SCENARIO_KEYS: dict[str, tuple[str, object, tuple]] = {
     "decay.initial_density_m3": (_FLOAT, 1.0e16, _POSITIVE),
     "decay.t_end_s": (_FLOAT, 10.0, _POSITIVE),
     "decay.samples": (_INT, 101, _at_least(2)),
-    "mc.particles": (_INT, 100_000, _at_least(1)),
+    "mc.particles": (_INT, 100_000, _at_least(2)),
     "noise.sigma_rel": (_FLOAT, 0.0, _NONNEGATIVE),
     "figure2.detunings_linewidths": (_FLOAT_LIST, (-2.0, -5.0, -8.0),
                                      _FINITE),

@@ -11,8 +11,9 @@ Rewrite the manifest from the repository root with
 
     PYTHONPATH=src python tests/byte_manifest.py
 
-A change that alters output bytes rewrites it, and the manifest's diff
-names each output that changed, one line per output.
+A change that alters output bytes rewrites it. Before writing, the script
+prints each entry that differs from the committed manifest, one per line,
+and the manifest's diff names the same outputs, one line per output.
 ``tests/test_byte_manifest.py`` compares the program against it.
 """
 
@@ -135,9 +136,29 @@ def dumps(manifest: dict) -> str:
             + ",\n".join(body) + "\n }\n}\n")
 
 
+def changed_entries(old: dict, new: dict) -> list[str]:
+    """The keys whose values differ between two manifests, outputs by
+    their ``"<scenario> <command>"`` key, in sorted order; a key that one
+    side lacks differs."""
+    def flat(manifest):
+        entries = {key: value for key, value in manifest.items()
+                   if key != "outputs"}
+        entries.update(manifest.get("outputs", {}))
+        return entries
+
+    old, new = flat(old), flat(new)
+    return sorted(key for key in old.keys() | new.keys()
+                  if old.get(key) != new.get(key))
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        MANIFEST.write_text(dumps(build(Path(tmp))), encoding="utf-8")
+        manifest = build(Path(tmp))
+    committed = (json.loads(MANIFEST.read_text(encoding="utf-8"))
+                 if MANIFEST.exists() else {})
+    for key in changed_entries(committed, manifest):
+        print(f"changed: {key}")
+    MANIFEST.write_text(dumps(manifest), encoding="utf-8")
     print(f"wrote {MANIFEST}")

@@ -79,8 +79,8 @@ def oracle_transfer(cloud: MotCloud, dist: PumpingDistribution,
     ensemble = sample_mot_atoms(cloud, species, count, rng)
     ensemble.zeeman_m = sample_zeeman_substates(dist, count, rng)
     trapped = ensemble.trapped()
-    if len(trapped) == 0:
-        raise ValueError("no trapped atoms")
+    if len(trapped) < 2:
+        raise ValueError(f"{len(trapped)} trapped atoms, need at least 2")
     total = sum(ensemble_energies(trapped, fld, species))
     n = len(trapped)
     radii = np.linalg.norm(trapped.positions, axis=1)
@@ -89,10 +89,8 @@ def oracle_transfer(cloud: MotCloud, dist: PumpingDistribution,
         "trapped": n,
         "temperature_mc": 2.0 * total.mean() / (9.0 * K_B),
         "temperature_stderr": (2.0 * total.std(ddof=1)
-                               / (9.0 * K_B * math.sqrt(n)) if n > 1
-                               else 0.0),
+                               / (9.0 * K_B * math.sqrt(n))),
         "mean_radius": radii.mean(),
         "mean_radius_expected": math.sqrt(8.0 / math.pi) * cloud.size_sigma,
-        "mean_radius_stderr": (radii.std(ddof=1) / math.sqrt(n) if n > 1
-                               else 0.0),
+        "mean_radius_stderr": radii.std(ddof=1) / math.sqrt(n),
     }

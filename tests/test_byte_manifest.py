@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from byte_manifest import (MANIFEST, SCENARIOS, dumps, environment,
-                           image_csv, scenario_outputs, sha256)
+from byte_manifest import (MANIFEST, SCENARIOS, changed_entries, dumps,
+                           environment, image_csv, scenario_outputs, sha256)
 
 COMMITTED = json.loads(MANIFEST.read_text(encoding="utf-8"))
 
@@ -23,6 +23,21 @@ def test_manifest_covers_ten_commands_on_each_scenario():
     assert dumps(COMMITTED) == MANIFEST.read_text(encoding="utf-8")
 
 
+def test_changed_entries_names_each_difference():
+    old = {"numpy": "2.4.6", "image_sha256": "a",
+           "outputs": {"default figure4": {"exit": 0, "sha256": "b"},
+                       "default figure2": {"exit": 0, "sha256": "c"},
+                       "default mc-transfer": {"exit": 0, "sha256": "d"}}}
+    new = {"numpy": "2.4.6", "image_sha256": "a",
+           "outputs": {"default figure4": {"exit": 0, "sha256": "e"},
+                       "default figure2": {"exit": 0, "sha256": "c"},
+                       "default fit-linear": {"exit": 2, "sha256": None}}}
+    assert changed_entries(old, new) == [
+        "default figure4", "default fit-linear", "default mc-transfer"]
+    assert changed_entries(old, old) == []
+    assert changed_entries({}, {"numpy": "2.4.6"}) == ["numpy"]
+
+
 def test_image_input_matches_manifest():
     require_manifest_environment()
     assert sha256(image_csv().encode("utf-8")) == COMMITTED["image_sha256"]
@@ -34,8 +49,7 @@ def test_outputs_match_manifest(tmp_path, scenario):
     got = scenario_outputs(scenario, tmp_path)
     want = {key: value for key, value in COMMITTED["outputs"].items()
             if key.startswith(f"{scenario} ")}
-    changed = sorted(key for key in want.keys() | got.keys()
-                     if want.get(key) != got.get(key))
+    changed = changed_entries({"outputs": want}, {"outputs": got})
     assert not changed, (
         f"outputs differ from {MANIFEST.name}: {changed}; if the change is "
         f"intended, rewrite it with tests/byte_manifest.py")

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from mc_oracle import (Ensemble, ensemble_energies, oracle_transfer,
                        sample_mot_atoms, sample_zeeman_substates)
@@ -16,10 +17,9 @@ from mtload import (MotCloud, PumpingDistribution, QuadrupoleField,
 from mtload.constants import K_B, MU_B
 from mtload.mc import ZEEMAN_M_VALUES, seed_stream
 
-# the documented block of simulate_transfer: its draws come 2**17 trapped
-# atoms at a time, the exponential and the normal of |r|^2/sigma^2 for the
-# block, then those of G_v for the block
-BLOCK = 2**17
+# the documented block of simulate_transfer: its draws come 2**14 trapped
+# atoms at a time, in the order E'', U, E', E for the block
+BLOCK = 2**14
 
 
 def mot(sigma=200e-6, t=300e-6):
@@ -108,6 +108,10 @@ def test_distribution_rejects_non_finite(bad):
 
 UPPER = PumpingDistribution((0, 0, 0, 0, 0, 0.1, 0.2, 0.3, 0.4))
 
+# simulate_transfer's message for each trapped count below 2: a lone atom
+# has no sample variance, so it has no statistical error either
+TOO_FEW_TRAPPED = {0: "no trapped atoms", 1: "only 1 trapped atom"}
+
 
 class RecordingGenerator:
     """Draws from ``rng`` and keeps the substate counts of the last
@@ -123,8 +127,8 @@ class RecordingGenerator:
     def standard_exponential(self, size=None, out=None):
         return self.rng.standard_exponential(size, out=out)
 
-    def standard_normal(self, size=None, out=None):
-        return self.rng.standard_normal(size, out=out)
+    def random(self, size=None, out=None):
+        return self.rng.random(size, out=out)
 
 
 def assert_matches_choice(cr, field, dist, count, seed):
@@ -136,7 +140,7 @@ def assert_matches_choice(cr, field, dist, count, seed):
     try:
         report = simulate_transfer(mot(), dist, field, cr, count, rng)
     except ValueError as exc:
-        assert "no trapped atoms" in str(exc)
+        assert TOO_FEW_TRAPPED[rng.counts[5:].sum()] in str(exc)
         report = None
     counts = rng.counts
     choice = sample_zeeman_substates(dist, count,
@@ -145,7 +149,7 @@ def assert_matches_choice(cr, field, dist, count, seed):
     assert counts.shape == (9,)
     assert counts.sum() == count
     if report is None:
-        assert counts[5:].sum() == 0
+        assert counts[5:].sum() < 2
     else:
         assert report.trapped == counts[5:].sum()
     for p, got, want in zip(dist.probabilities, counts, expected):
@@ -265,6 +269,11 @@ def test_equilibrium_rejects_bad_ensembles(cr, field):
     with pytest.raises(ValueError):
         simulate_transfer(mot(), PumpingDistribution.point(-2), field, cr,
                           1_000, seed_stream(26, "none"))
+    # a lone atom has no sample variance: an error that names the count,
+    # not statistical errors of an exact 0.0
+    with pytest.raises(ValueError, match="only 1 trapped atom"):
+        simulate_transfer(mot(), PumpingDistribution.point(4), field, cr, 1,
+                          seed_stream(26, "one"))
 
 
 @pytest.mark.parametrize("sigma", [0.0, 100e-6, 200e-6])
@@ -380,13 +389,14 @@ def test_transfer_stderrs_match_exact_moments(cr, field, m, sigma, seed):
         ("uniform", PumpingDistribution.uniform(),
          (65535, 65536, 65537, 131079)),
         ("m4", PumpingDistribution.point(4),
-         (65535, 65536, 65537, 131079,
-          BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7)))
+         (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7,
+          65535, 65536, 65537, 131079,
+          2**17 - 1, 2**17, 2**17 + 1, 2 * 2**17 + 7)))
     for count in counts])
 def test_transfer_matches_oracle_across_chunks(cr, field, dist, count):
     # every atom of point(4) is trapped, so its counts sit at, beside and
-    # past the 2**17-atom block edges, and 2 * BLOCK + 7 makes three
-    # blocks; the 2**16 edges of an earlier streamed sampler stay covered
+    # past the 2**14-atom block edges, and 2 * BLOCK + 7 makes three
+    # blocks; the 2**16 and 2**17 edges of earlier samplers stay covered
     assert_matches_oracle(mot(), dist, field, cr, count, 5)
 
 
@@ -410,12 +420,26 @@ def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
                           QuadrupoleField(gradient), cr, count, seed)
 
 
+def draws_of_block(rng, size):
+    """One block of simulate_transfer's draws, taken in the documented
+    order E'', U, E', E, and what it makes of them: Z^2/2 = E'' c and
+    Z'^2/2 = E'' (1 - c) with c = cos^2(pi U), then
+    |r|^2/sigma^2 = 2 (E + Z^2/2) and G_v = E' + Z'^2/2."""
+    e_pair = rng.standard_exponential(size)
+    c = np.cos(np.pi * rng.random(size))
+    e_v = rng.standard_exponential(size)
+    e_r = rng.standard_exponential(size)
+    half_z2 = (c * c) * e_pair
+    half_z2_prime = e_pair - half_z2
+    return (half_z2, half_z2_prime, 2.0 * (e_r + half_z2),
+            e_v + half_z2_prime)
+
+
 def audit_of_draws(cloud, dist, fld, species, count, rng):
-    """simulate_transfer's draws audited the plain way: the exponential
-    and normal draws taken in the documented order, substate by substate
-    and BLOCK atoms at a time, then each atom's radius and energy from its
-    own substate over the whole ensemble at once. Also returns the number
-    of blocks drawn."""
+    """simulate_transfer's draws audited the plain way: each block's draws
+    taken by ``draws_of_block``, substate by substate and BLOCK atoms at a
+    time, then each atom's radius and energy from its own substate over
+    the whole ensemble at once. Also returns the number of blocks drawn."""
     p = np.asarray(dist.probabilities)
     per_m = rng.multinomial(count, p / p.sum())
     m = np.repeat(np.array(ZEEMAN_M_VALUES), per_m)
@@ -423,13 +447,9 @@ def audit_of_draws(cloud, dist, fld, species, count, rng):
     chi_r, g_v = [], []
     for atoms in per_m[5:]:
         for first in range(0, atoms, BLOCK):
-            size = min(BLOCK, atoms - first)
-            e_r = rng.standard_exponential(size)
-            z_r = rng.standard_normal(size)
-            e_v = rng.standard_exponential(size)
-            z_v = rng.standard_normal(size)
-            chi_r.append(2.0 * e_r + z_r * z_r)
-            g_v.append(e_v + 0.5 * (z_v * z_v))
+            _, _, chi, g = draws_of_block(rng, min(BLOCK, atoms - first))
+            chi_r.append(chi)
+            g_v.append(g)
     radius = cloud.size_sigma * np.sqrt(np.concatenate(chi_r))
     kinetic = K_B * cloud.temperature * np.concatenate(g_v)
     potential = species.lande_g_d * m * MU_B * fld.gradient * radius
@@ -441,8 +461,25 @@ def audit_of_draws(cloud, dist, fld, species, count, rng):
 PAIR = PumpingDistribution((0, 0, 0, 0, 0, 0.25, 0, 0, 0.75))
 
 
+def test_block_draws_have_the_chi_square_laws():
+    # the Box-Muller split of one exponential and one angle into two
+    # squared normals: |r|^2/sigma^2 chi-square with 3 degrees of freedom
+    # and G_v Gamma(3/2), which holds only if Z^2 and Z'^2 are each
+    # chi-square with 1, and Z^2 and Z'^2, which share E'', uncorrelated
+    # within 5 standard errors of a zero Pearson r
+    rng = seed_stream(51, "laws")
+    half_z2, half_z2_prime, chi_r, g_v = map(np.concatenate, zip(*(
+        draws_of_block(rng, BLOCK) for _ in range(2**18 // BLOCK))))
+    n = len(chi_r)
+    for sample, law in ((chi_r, stats.chi2(3)), (g_v, stats.gamma(1.5))):
+        assert stats.kstest(sample, law.cdf).pvalue > 1e-3
+    r = np.corrcoef(half_z2, half_z2_prime)[0, 1]
+    assert abs(r) <= 5.0 / math.sqrt(n)
+
+
 @pytest.mark.parametrize("seed", [7, 65536])
-@pytest.mark.parametrize("count", [1000, BLOCK, 131079, 3 * BLOCK + 5])
+@pytest.mark.parametrize("count", [1000, BLOCK, 3 * BLOCK + 5, 2**17, 131079,
+                                   3 * 2**17 + 5])
 @pytest.mark.parametrize("dist", [
     PumpingDistribution.uniform(), PumpingDistribution.point(4), UPPER,
     PumpingDistribution.point(1), PAIR,
@@ -453,7 +490,8 @@ def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
     # per-atom audit of the same draws: ==, not a tolerance, while one
     # block holds every trapped atom; with more blocks the merged block
     # moments sum in another order than numpy's two passes, so they agree
-    # to 1e-15
+    # to 1e-15; the counts of 2**17 and beyond are the block edges of an
+    # earlier sampler
     rng = seed_stream(seed, "bits")
     n, total, radius, blocks = audit_of_draws(mot(), dist, field, cr, count,
                                               rng)
@@ -516,11 +554,12 @@ def test_transfer_report_property(cr, sigma, temperature, gradient, weights,
         report = simulate_transfer(cloud, dist, QuadrupoleField(gradient),
                                    cr, count, rng)
     except ValueError as exc:
-        assert "no trapped atoms" in str(exc)
+        assert any(message in str(exc)
+                   for message in TOO_FEW_TRAPPED.values())
         return
     assert sum(dist.probabilities[5:]) > 0.0
     assert report.particles == count
-    assert 0 < report.trapped <= report.particles
+    assert 1 < report.trapped <= report.particles
     assert all(math.isfinite(value)
                for value in dataclasses.astuple(report))
     assert report.temperature_stderr >= 0.0
@@ -534,7 +573,7 @@ def test_transfer_report_property(cr, sigma, temperature, gradient, weights,
 ], ids=["m4", "uniform"])
 def test_transfer_peak_memory_per_particle(cr, field, dist):
     # no (n, 3) array and no substate array: at most three buffers of
-    # min(n, BLOCK) floats, 24 B per trapped particle below one block
+    # min(n, BLOCK) floats, 384 KiB in all, under 2 B per particle here
     count = 200_000
     tracemalloc.start()
     try:
@@ -543,7 +582,7 @@ def test_transfer_peak_memory_per_particle(cr, field, dist):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / count < 48
+    assert peak / count < 4
 
 
 @pytest.mark.parametrize("dist, small", [
@@ -553,7 +592,8 @@ def test_transfer_peak_memory_is_constant_in_the_count(cr, field, dist,
                                                        small):
     # at both counts the largest substate spans more than one block, so
     # both fill whole buffers: the three block buffers make the peak at 1e6
-    # atoms that of the smaller count, and at most 4 MiB
+    # atoms that of the smaller count, and at most 512 KiB (3 * BLOCK * 8 B
+    # and an allowance)
     peaks = {}
     for count in (small, 1_000_000):
         tracemalloc.start()
@@ -563,7 +603,7 @@ def test_transfer_peak_memory_is_constant_in_the_count(cr, field, dist,
             peaks[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[1_000_000] <= 4 * 2**20
+    assert peaks[1_000_000] <= 512 * 2**10
     assert peaks[1_000_000] <= 1.1 * peaks[small]
 
 
@@ -605,8 +645,8 @@ def test_transfer_accepts_numpy_integer_count(cr, field, integer):
 
 
 class FailingGenerator:
-    """Draws from ``rng`` until the second exponential or normal draw,
-    which raises ``error``."""
+    """Draws from ``rng`` until the second draw of per-atom values, which
+    raises ``error``."""
 
     def __init__(self, rng, error):
         self.rng, self.error, self.calls = rng, error, 0
@@ -623,8 +663,8 @@ class FailingGenerator:
     def standard_exponential(self, size=None, out=None):
         return self._draw(self.rng.standard_exponential, size, out)
 
-    def standard_normal(self, size=None, out=None):
-        return self._draw(self.rng.standard_normal, size, out)
+    def random(self, size=None, out=None):
+        return self._draw(self.rng.random, size, out)
 
 
 def test_draw_failure_reaches_the_caller_unchanged(cr, field):

@@ -125,7 +125,7 @@ BOUNDARIES = [
     ("decay.initial_density_m3", "1e-300", "0"),
     ("decay.t_end_s", "1e-300", "0"),
     ("decay.samples", "2", "1"),
-    ("mc.particles", "1", "0"),
+    ("mc.particles", "2", "1"),
     ("noise.sigma_rel", "0", "-1e-300"),
     ("figure2.efficiencies", "0, 0.5, 0.5", "0.5, -1e-300, 0.5"),
     ("figure2.efficiencies", "0.5, 0.5, 1",
