@@ -12,7 +12,7 @@ with a linearly growing volume V(t) = V0 (1 + alpha t) standing in for the
 phenomenological heating. With u = 1/n the equation is linear,
 du/dt = u (1/t0 + alpha/(1 + alpha t)) + beta, and from a start time s
 
-    n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w(t') dt'),
+    n(t) = w(t) / (1/n(s) + beta int_s^t w(t') dt'),
     w(t) = exp(-(t - s)/t0) (1 + alpha s)/(1 + alpha t).
 
 The integral of w, free of n(s) and beta, is the only numerical step, a
@@ -25,6 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import GAUSS_NODES, GAUSS_WEIGHTS
+
+_TINY = float(np.finfo(float).tiny)  # the smallest positive normal float
 
 
 @dataclass(frozen=True)
@@ -122,15 +124,14 @@ def mot_on_decay_rate(n_e: float, sigma_ed: float, v: float,
 
 
 def _decay_solution(times: np.ndarray, t0: float, alpha: float):
-    """The exact decay solution on ``times`` (times[0] is the start) for
-    lifetime t0 and volume growth rate alpha, as ``density(n_s, beta)``.
+    """The n(s)- and beta-free parts of the exact decay solution on
+    ``times`` (times[0] is the start s) for lifetime t0 and volume growth
+    rate alpha: ``(w, I)``, with w(t) = exp(-(t-s)/t0) (1 + alpha s)/(1 +
+    alpha t) and I(t) = int_s^t w, so that
 
-    With s = times[0] and w(t) = exp(-(t-s)/t0) (1 + alpha s)/(1 + alpha t),
+        n(t) = w(t) / (1/n(s) + beta I(t)),
 
-        n(t) = n(s) w(t) / (1 + beta n(s) int_s^t w),
-
-    or w(t) / (1/n(s) + beta int_s^t w) where beta n(s) int_s^t w would
-    overflow. w and its integral, free of n(s) and beta, are solved once.
+    which is linear in (1/n(s), beta). w(s) = 1 and I(s) = 0.
 
     The integral is summed with the 32-node Gauss-Legendre rule on panels
     no wider than t0, between break points at the sample times and where
@@ -167,31 +168,23 @@ def _decay_solution(times: np.ndarray, t0: float, alpha: float):
     integral = np.zeros_like(breaks)
     np.cumsum(np.add.reduceat(per_panel, first), out=integral[1:])
     integral = integral[np.searchsorted(breaks, ends)]
-    w_times = w(times)
-
-    def density(n_s: float, beta: float) -> np.ndarray:
-        scale = float(beta) * float(n_s)
-        if math.isfinite(scale * float(integral[-1])):
-            return n_s * w_times / (1.0 + scale * integral)
-        # beta n(s) int w overflows: the same solution divided through by
-        # n(s), which at s itself is n(s) exactly
-        out = w_times / (1.0 / n_s + beta * integral)
-        out[0] = n_s
-        return out
-
-    return density
+    return w(times), integral
 
 
 def decay_density_at(times: np.ndarray, initial_density: float,
                      model: RateModel) -> np.ndarray:
     """Peak density at the given times (times[0] is the start) under the
-    background + two-body + dilution equation (``_decay_solution``)."""
-    if not (math.isfinite(initial_density) and initial_density > 0):
-        raise ValueError("initial_density must be finite and positive, got "
-                         f"{initial_density!r}")
-    solution = _decay_solution(times, model.background_lifetime,
-                               model.volume_growth_rate)
-    return solution(initial_density, model.two_body_coeff)
+    background + two-body + dilution equation, n = w / (1/n(s) + beta I)
+    (``_decay_solution``); at the start it is n(s) exactly. n(s) must be
+    a normal float, so that 1/n(s) is finite."""
+    if not (math.isfinite(initial_density) and initial_density >= _TINY):
+        raise ValueError("initial_density must be finite and at least "
+                         f"{_TINY!r}, got {initial_density!r}")
+    w, integral = _decay_solution(times, model.background_lifetime,
+                                  model.volume_growth_rate)
+    out = w / (1.0 / initial_density + model.two_body_coeff * integral)
+    out[0] = initial_density
+    return out
 
 
 def integrate_mt_decay(initial_density: float, model: RateModel,

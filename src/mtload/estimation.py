@@ -8,8 +8,9 @@
 * two-body loss coefficient fit through the decay equation with a
   pre-fitted linear volume growth
 
-Initial guesses are data-driven heuristics, never magic constants, and
-every fitter is a deterministic function of its inputs.
+Only the loading and image fits iterate, from data-driven guesses; the
+others are closed form. Every fitter is a deterministic function of its
+inputs.
 """
 
 import math
@@ -21,7 +22,7 @@ from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B
 from .dynamics import _decay_solution
 from .errors import ConfigError, GravityAxisError, InputDataError
-from .leastsq import FitResult, _stderr, least_squares
+from .leastsq import _EPS, FitResult, _stderr, least_squares
 from .species import SpeciesData
 from .tables import ResultTable
 
@@ -40,15 +41,15 @@ class SampleSeries:
     y_sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
+        object.__setattr__(self, "x", np.asarray(self.x, float, order="C"))
+        object.__setattr__(self, "y", np.asarray(self.y, float, order="C"))
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
             raise InputDataError(
                 "x and y must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise InputDataError("x and y must be finite")
         if self.y_sigma is not None:
-            sig = np.asarray(self.y_sigma, dtype=float)
+            sig = np.asarray(self.y_sigma, float, order="C")
             if sig.shape != self.x.shape:
                 raise InputDataError("y_sigma must match x in length")
             if not np.all(np.isfinite(sig) & (sig > 0)):
@@ -349,6 +350,17 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
     return result
 
 
+def _weighted_line(design: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Weighted linear least squares: the coefficients c minimizing
+    sum w (y - design c)^2 from the normal equations, the weighted sum of
+    squared residuals, and the weighted design sqrt(w) design that
+    ``_stderr`` takes."""
+    wd = design * w[:, None]
+    coef = np.linalg.solve(design.T @ wd, wd.T @ y)
+    resid = y - design @ coef
+    return coef, float(resid @ (w * resid)), design * np.sqrt(w)[:, None]
+
+
 def fit_linear(data: SampleSeries) -> FitResult:
     """Straight-line least squares, uncertainty-weighted when sigmas are
     present. Closed form, no iteration. The standard errors come from
@@ -360,15 +372,10 @@ def fit_linear(data: SampleSeries) -> FitResult:
     if np.all(x == x[0]):
         raise InputDataError("degenerate data: x has zero variance")
     w = np.ones_like(x) if data.y_sigma is None else 1.0 / data.y_sigma ** 2
-    design = np.column_stack([x, np.ones_like(x)])
-    wd = design * w[:, None]
-    normal = design.T @ wd
-    rhs = wd.T @ y
-    coef = np.linalg.solve(normal, rhs)
-    resid = y - design @ coef
-    ssr_w = float(resid @ (w * resid))
+    coef, ssr_w, weighted = _weighted_line(
+        np.column_stack([x, np.ones_like(x)]), y, w)
     s2 = ssr_w / (x.size - 2) if data.y_sigma is None else 1.0
-    stderr = _stderr(design * np.sqrt(w)[:, None], s2)
+    stderr = _stderr(weighted, s2)
     return FitResult(
         params={"slope": float(coef[0]), "intercept": float(coef[1])},
         stderr={"slope": float(stderr[0]), "intercept": float(stderr[1])},
@@ -484,19 +491,21 @@ def fit_volume_growth(volume_series: SampleSeries) -> tuple[float, float]:
 
 def fit_two_body_loss(density_series: SampleSeries, t0: float,
                       volume_series: SampleSeries) -> FitResult:
-    """Single-parameter fit of the two-body coefficient beta.
+    """Fit the start density n_init and the two-body coefficient beta in
+    closed form, after a linear fit of the volume history.
 
-    The volume history is fitted linearly first; the exact decay solution
-    from the first density sample has its beta-free parts solved once per
-    t0 value (``_decay_solution``), so a model evaluation is one line.
-    ``t0`` comes from an independent ground-state decay measurement.
-    beta stays positive: a step that would take it to zero or below is
-    refused and shortened, so data without two-body loss give a small
-    positive beta, whose stderr is NaN where the data do not determine it.
-    extras report how much the fitted beta moves when t0 is perturbed by
-    +-50% (the t0_sensitivity fraction). When beta is not at least twice
-    its stderr, so consistent with 0 or without an uncertainty, extras
-    carry ``beta_consistent_with_zero = True`` instead.
+    With n = w / (1/n_init + beta I) (``_decay_solution``), z = w/n is
+    linear in (1/n_init, beta), and w and I depend on neither. The noise
+    is taken as relative, so two weighted line solves: weights 1/z^2, then
+    1/z_hat^2 from the first fit. beta is unconstrained and may come out
+    negative. It and 1/n_init read about sigma^2 high, since E[1/(1 + e)]
+    = 1 + sigma^2 for relative noise e. n_init's stderr follows by the delta
+    method, and the reduced chi-square is floored at eps: relative noise
+    below sqrt(eps) is rounding. ``t0`` comes from an independent
+    ground-state decay measurement; extras report how much beta moves when
+    t0 is perturbed by +-50% (t0_sensitivity), or carry
+    ``beta_consistent_with_zero = True`` when beta is not at least twice
+    its stderr. Every density sample must be positive.
     """
     density_series.require_time_axis()
     if t0 <= 0:
@@ -504,39 +513,36 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     v0, alpha = fit_volume_growth(volume_series)
     t = density_series.x
     y = density_series.y
-    if y[0] <= 0:
-        raise InputDataError("first density sample must be positive")
-    n_init = float(y[0])
-    refused = np.full(t.size, math.inf)
+    row = int(np.argmax(y <= 0))
+    if y[row] <= 0:
+        raise InputDataError(f"density sample in data row {row + 1} is "
+                             f"{float(y[row])!r}; each must be positive")
 
-    def fit_beta(t0_value: float) -> FitResult:
-        density = _decay_solution(t, t0_value, alpha)
+    def solve(t0_value: float):
+        w, integral = _decay_solution(t, t0_value, alpha)
+        z = w / y
+        design = np.column_stack([np.ones_like(z), integral])
+        z_hat = design @ _weighted_line(design, z, 1.0 / z ** 2)[0]
+        return _weighted_line(design, z, 1.0 / z_hat ** 2)
 
-        def residual(p):
-            if not p[0] > 0.0:
-                return refused
-            return density(n_init, p[0]) - y
-
-        # early-time excess decay rate over background and dilution sets
-        # the starting beta
-        dt = t[1] - t[0]
-        rate0 = -(y[1] - y[0]) / (dt * n_init)
-        excess = rate0 - 1.0 / t0_value - alpha / (1.0 + alpha * t[0])
-        beta0 = max(excess / n_init, 1e-3 / (n_init * (t[-1] - t[0])))
-        return least_squares(residual, [beta0], ("beta",))
-
-    result = fit_beta(t0)
-    beta = result.params["beta"]
-    if not beta >= 2.0 * result.stderr["beta"]:
+    (u, beta), ssr, weighted = solve(t0)
+    s2 = max(ssr / (t.size - 2), _EPS) if t.size > 2 else math.nan
+    u_err, beta_err = _stderr(weighted, s2)
+    result = FitResult(
+        params={"n_init": float(1.0 / u), "beta": float(beta)},
+        stderr={"n_init": float(u_err / u ** 2), "beta": float(beta_err)},
+        residual_norm=math.sqrt(ssr),
+        converged=True,
+        iterations=1,
+    )
+    if not beta >= 2.0 * beta_err:
         # a shift relative to a beta that the data do not tell from 0
         # means nothing
         result.extras["beta_consistent_with_zero"] = True
     else:
-        shifts = []
-        for factor in (1.5, 0.5):
-            perturbed = fit_beta(t0 * factor).params["beta"]
-            shifts.append(abs(perturbed - beta))
-        result.extras["t0_sensitivity"] = max(shifts) / beta
+        shifts = [abs(solve(t0 * factor)[0][1] - beta)
+                  for factor in (1.5, 0.5)]
+        result.extras["t0_sensitivity"] = float(max(shifts) / beta)
     result.extras["volume_v0"] = v0
     result.extras["volume_alpha"] = alpha
     return result

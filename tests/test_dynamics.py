@@ -169,6 +169,15 @@ def decay_cases(draw):
     return n0, t0, beta, alpha, times
 
 
+def assert_one_formula(times, t0, alpha, n0, beta, density):
+    # the two-body fit solves for (1/n0, beta) in the same (w, I) that
+    # decay_density_at divides by: w / (1/n0 + beta I), and n0 at the start
+    w, integral = _decay_solution(times, t0, alpha)
+    assert w[0] == 1.0 and integral[0] == 0.0 and density[0] == n0
+    np.testing.assert_array_equal(density[1:],
+                                  (w / (1.0 / n0 + beta * integral))[1:])
+
+
 @settings(max_examples=80, deadline=None)
 @given(decay_cases())
 # a 500 s gap at t0 = 3 s: the density falls to 3e-59 m^-3, far below
@@ -189,8 +198,7 @@ def test_decay_matches_independent_oracles(case):
     got = decay_density_at(times, n0, model)
     np.testing.assert_allclose(got, ode_decay(times, n0, t0, beta, alpha),
                                rtol=1e-9)
-    np.testing.assert_array_equal(_decay_solution(times, t0, alpha)(n0, beta),
-                                  got)
+    assert_one_formula(times, t0, alpha, n0, beta, got)
 
 
 def test_decay_far_past_the_exponential_underflow():
@@ -261,11 +269,11 @@ def test_decay_with_overflowing_two_body_term(beta, n0):
     np.testing.assert_allclose(
         density[1:], closed_form_decay(times[1:], n0, 60.0, beta, 0.1),
         rtol=1e-11)
-    np.testing.assert_array_equal(_decay_solution(times, 60.0, 0.1)(n0, beta),
-                                  density)
+    assert_one_formula(times, 60.0, 0.1, n0, beta, density)
 
 
-@pytest.mark.parametrize("density", (math.nan, math.inf, 0.0, -1.0))
+# 1e-310 is subnormal: 1/n(s) would overflow and the decay read 0
+@pytest.mark.parametrize("density", (math.nan, math.inf, 0.0, -1.0, 1e-310))
 def test_decay_rejects_bad_initial_density(density):
     with pytest.raises(ValueError, match="initial_density"):
         decay_density_at([0.0, 1.0], density, RateModel())
