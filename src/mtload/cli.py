@@ -1,8 +1,7 @@
 """Command-line front end.
 
-Subcommands: simulate-loading, simulate-decay, figure2, figure3, figure4,
-fit, mc-transfer. Global flags: --scenario <path>, --seed <u64>,
---out <path> (default stdout), --format csv.
+Subcommands: the simulations named in SIMULATIONS, and fit. Global flags:
+--scenario <path>, --seed <u64>, --out <path> (default stdout), --format csv.
 
 Exit codes: 0 success, 2 configuration or input-data error (a bad
 scenario, a file that is not UTF-8, a missing column, a non-finite value,
@@ -33,6 +32,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
+# each runs pipelines.<name with "-" as "_">
+SIMULATIONS = ("simulate-loading", "simulate-decay", "figure2", "figure3",
+               "figure4", "mc-transfer")
 FITTERS = ("loading-curve", "linear", "density-image", "two-body")
 
 
@@ -62,8 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     _add_global_flags(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("simulate-loading", "simulate-decay", "figure2", "figure3",
-                 "figure4", "mc-transfer"):
+    for name in SIMULATIONS:
         _add_global_flags(sub.add_parser(name), suppress=True)
     fit = sub.add_parser("fit")
     _add_global_flags(fit, suppress=True)
@@ -76,20 +77,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _fit_result_table(result: FitResult, scenario) -> ResultTable:
     rows = []
-    notes = [
-        f"converged = {result.converged}",
-        f"iterations = {result.iterations}",
-        f"residual_norm = {result.residual_norm!r}",
-    ]
-    for name, value in result.params.items():
-        rows.append((name, value, result.stderr.get(name, math.nan)))
-    for name, value in result.extras.items():
+    notes = [f"iterations = {result.iterations}",
+             f"residual_norm = {result.residual_norm!r}"]
+    for name, value in (*result.params.items(), *result.extras.items()):
         if isinstance(value, bool):
             notes.append(f"{name} = {value}")
-        elif not name.endswith("_stderr"):
+        else:
             rows.append((name, float(value),
-                         float(result.extras.get(f"{name}_stderr",
-                                                 math.nan))))
+                         float(result.stderr.get(name, math.nan))))
     return ResultTable(
         columns=[("parameter", "name"), ("value", "SI"), ("stderr", "SI")],
         rows=rows,
@@ -164,20 +159,13 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     scenario = load_scenario(args.scenario, seed_override=args.seed)
-    if args.command == "simulate-loading":
-        table = pipelines.simulate_loading(scenario)
-    elif args.command == "simulate-decay":
-        table = pipelines.simulate_decay(scenario)
-    elif args.command == "figure2":
-        table, _ = pipelines.figure2(scenario)
-    elif args.command == "figure3":
-        table, _ = pipelines.figure3(scenario)
-    elif args.command == "figure4":
-        table = pipelines.figure4(scenario)
-    elif args.command == "mc-transfer":
-        table = pipelines.mc_transfer(scenario)
-    else:  # fit
+    if args.command == "fit":
         table = _run_fit(args, scenario)
+    else:
+        # looked up at each call, so a wrapper set on pipelines sees it
+        table = getattr(pipelines, args.command.replace("-", "_"))(scenario)
+        if isinstance(table, tuple):  # figure2 and figure3 add their fits
+            table, _ = table
     _require_finite(table, fit=args.command == "fit")
     _write_output(table, args.out)
     return EXIT_OK

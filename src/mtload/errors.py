@@ -29,5 +29,5 @@ class FitNotConvergedError(MtloadError):
 class GravityAxisError(MtloadError):
     """A density-image fit cannot use the image's vertical axis: the image
     has one pixel along it, so the sag parameter is not determined, or the
-    fit converged to a non-positive sag, which normally means the axis is
+    fit ends at a non-positive sag, which normally means the axis is
     mislabeled or flipped."""

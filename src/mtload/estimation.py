@@ -380,7 +380,6 @@ def fit_linear(data: SampleSeries) -> FitResult:
         params={"slope": float(coef[0]), "intercept": float(coef[1])},
         stderr={"slope": float(stderr[0]), "intercept": float(stderr[1])},
         residual_norm=math.sqrt(ssr_w),
-        converged=True,
         iterations=1,
     )
 
@@ -423,7 +422,7 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
     and mean magnetic moment.
 
     T = m g / (k_B shape_g) and mu_bar = 2 m g shape_b / (b shape_g); both
-    land in extras together with propagated uncertainties. n0 and shape_b
+    land in extras, their propagated uncertainties in stderr. n0 and shape_b
     stay positive: a step that would take either to zero or below is
     refused and shortened. An image with one pixel along the vertical
     axis does not determine shape_g, and a fit that converges to
@@ -466,19 +465,16 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
     mu_bar = 2.0 * mg * shape_b / (field.gradient * shape_g)
     rel_b = result.stderr["shape_b"] / shape_b
     rel_g = result.stderr["shape_g"] / shape_g
-    result.extras.update(
-        temperature=temperature,
-        temperature_stderr=temperature * rel_g,
-        mu_bar=mu_bar,
-        mu_bar_stderr=mu_bar * math.hypot(rel_b, rel_g),
-    )
+    result.extras.update(temperature=temperature, mu_bar=mu_bar)
+    result.stderr.update(temperature=temperature * rel_g,
+                         mu_bar=mu_bar * math.hypot(rel_b, rel_g))
     return result
 
 
 def fit_volume_growth(volume_series: SampleSeries) -> tuple[float, float]:
     """Linear fit of the volume history; returns (V0, alpha) for
-    V(t) = V0 (1 + alpha t). A history whose fit gives V0 <= 0 raises
-    InputDataError."""
+    V(t) = V0 (1 + alpha t), alpha set to 0 where the fit gives a shrinking
+    cloud. A history whose fit gives V0 <= 0 raises InputDataError."""
     fit = fit_linear(volume_series)
     v0 = fit.params["intercept"]
     if v0 <= 0:
@@ -532,7 +528,6 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
         params={"n_init": float(1.0 / u), "beta": float(beta)},
         stderr={"n_init": float(u_err / u ** 2), "beta": float(beta_err)},
         residual_norm=math.sqrt(ssr),
-        converged=True,
         iterations=1,
     )
     if not beta >= 2.0 * beta_err:

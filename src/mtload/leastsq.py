@@ -2,9 +2,9 @@
 
 Damped Gauss-Newton (Levenberg-style) iteration on a user-supplied
 residual function; the residual callable is the whole contract. Jacobians
-are numeric central differences with a relative step of 1e-6. Iteration is
-declared converged when the relative parameter change falls below 1e-8 or
-the relative change of the residual norm below 1e-10; exhausting the
+are numeric central differences with a relative step of 1e-6. Iteration
+stops when the relative parameter change falls below 1e-8 or the
+relative change of the residual norm below 1e-10; exhausting the
 iteration budget, or a stall where no step lowers the sum of squares,
 raises FitNotConvergedError. No randomized restarts: results are
 deterministic functions of the input.
@@ -42,14 +42,16 @@ _EPS = np.finfo(float).eps
 class FitResult:
     """Fitted parameters with curvature-based standard errors.
 
-    ``extras`` carries fitter-specific derived quantities (for example the
-    loading rate R = N0/tau, or a fitted temperature).
+    ``extras`` holds derived values (for example R = N0/tau) and bool
+    flags (``low_confidence``). ``stderr`` holds the errors of parameters
+    and derived values alike, by name; a value without one has no entry.
+    A fit table lists the parameters, then the derived values (stderr NaN
+    where there is no entry), and notes iterations, residual_norm, flags.
     """
 
     params: dict[str, float]
     stderr: dict[str, float]
     residual_norm: float
-    converged: bool
     iterations: int
     extras: dict = field(default_factory=dict)
 
@@ -157,6 +159,5 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
         params=dict(zip(names, x.tolist())),
         stderr=dict(zip(names, stderr.tolist())),
         residual_norm=math.sqrt(ssr),
-        converged=True,
         iterations=iterations,
     )

@@ -11,6 +11,7 @@ a result can always be traced back to its exact configuration.
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass
 
 from .cloud import MotCloud, QuadrupoleField, predict_mt_temperature
@@ -66,7 +67,9 @@ SCENARIO_KEYS: dict[str, tuple[str, object, tuple]] = {
                                            "in (0, 1]")),
     "sim.t_end_s": (_FLOAT, 5.0, _POSITIVE),
     "sim.samples": (_INT, 51, _at_least(2)),
-    "decay.initial_density_m3": (_FLOAT, 1.0e16, _POSITIVE),
+    # a normal float, so that 1/n stays finite in the decay solution
+    "decay.initial_density_m3": (_FLOAT, 1.0e16,
+                                 _at_least(sys.float_info.min)),
     "decay.t_end_s": (_FLOAT, 10.0, _POSITIVE),
     "decay.samples": (_INT, 101, _at_least(2)),
     "mc.particles": (_INT, 100_000, _at_least(2)),

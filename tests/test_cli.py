@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from byte_manifest import COMMANDS
 from mtload import RateModel, cli, pipelines
 from mtload.cli import main
 from mtload.dynamics import decay_density_at
@@ -105,6 +106,14 @@ def test_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("no.such.key = 1\n", encoding="utf-8")
     assert main(["simulate-loading", "--scenario", str(bad)]) == 2
+
+
+def test_subnormal_initial_density_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "subnormal.cfg"
+    cfg.write_text("decay.initial_density_m3 = 1e-310\n", encoding="utf-8")
+    assert main(["simulate-decay", "--scenario", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "decay.initial_density_m3" in err
 
 
 @pytest.mark.parametrize("line,key", [
@@ -229,16 +238,33 @@ def test_non_finite_row_is_refused_and_out_untouched(tmp_path, monkeypatch,
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("command", cli.SIMULATIONS)
+def test_simulations_look_up_their_pipeline_at_call_time(tmp_path,
+                                                          monkeypatch,
+                                                          command):
+    # run finds pipelines.<name> when it is called, so a wrapper set on the
+    # module afterwards (a profiler's span, a test's stub) sees every call
+    table = ResultTable(columns=[("x", "1")], rows=[(1.0,)],
+                        notes=[f"stub {command}"])
+    result = (table, []) if command in ("figure2", "figure3") else table
+    monkeypatch.setattr(pipelines, command.replace("-", "_"),
+                        lambda scenario: result)
+    code, out = run_to_file(tmp_path, [command])
+    assert code == 0
+    assert out.read_text(encoding="utf-8") == table.to_csv()
+
+
 @pytest.mark.parametrize("stderr,code", [
     (np.nan, 0), (np.inf, 3), (-np.inf, 3)])
 def test_fit_table_keeps_nan_stderr_and_refuses_inf(tmp_path, monkeypatch,
                                                     stderr, code):
-    # a derived value without an uncertainty carries a NaN stderr
+    # a derived value's stderr sits in FitResult.stderr under its own
+    # name; a NaN one is written, an infinite one refused
     def run_fit(args, scenario):
-        result = FitResult(params={"slope": 2.0}, stderr={"slope": 0.1},
-                           residual_norm=0.0, converged=True, iterations=1,
-                           extras={"intercept": 1.0,
-                                   "intercept_stderr": stderr})
+        result = FitResult(params={"slope": 2.0},
+                           stderr={"slope": 0.1, "intercept": stderr},
+                           residual_norm=0.0, iterations=1,
+                           extras={"intercept": 1.0})
         return cli._fit_result_table(result, scenario)
 
     monkeypatch.setattr(cli, "_run_fit", run_fit)
@@ -255,7 +281,10 @@ def test_fit_loading_curve_round_trip(tmp_path, small_scenario):
         tmp_path, ["fit", "loading-curve", str(data),
                    "--scenario", small_scenario], "fit.csv")
     assert code == 0
-    assert "# note converged = True" in fit_out.read_text(encoding="utf-8")
+    notes = [line for line in fit_out.read_text(encoding="utf-8").splitlines()
+             if line.startswith("# note ")]
+    assert [note.split(" = ")[0] for note in notes] == [
+        "# note iterations", "# note residual_norm"]
     # recover the derived loading rate from the simulate-loading notes
     data_parsed = parse_csv(data.read_text(encoding="utf-8"))
     derived = [n for n in data_parsed.notes if n.startswith("derived R_per_s")]
@@ -640,32 +669,20 @@ estimation.fit_density_image(image, QuadrupoleField(0.15), chromium52())
 report['fit_density_image'] = heavy()
 with open('image.csv', 'w', encoding='utf-8') as fh:
     fh.write(estimation.image_to_table(image).to_csv())
-commands = [
-    ['simulate-loading', '--out', 'loading.csv'],
-    ['simulate-decay', '--out', 'decay.csv'],
-    ['figure2', '--out', 'rates_vs_motsize.csv'],
-    ['figure3', '--out', 'decayrates_vs_density.csv'],
-    ['figure4', '--out', 'temperatures_vs_lightshift.csv'],
-    ['mc-transfer', '--out', 'transfer_check.csv'],
-    ['fit', 'loading-curve', 'loading.csv', '--out', 'fit1.csv'],
-    ['fit', 'two-body', 'decay.csv', '--out', 'fit2.csv'],
-    ['fit', 'linear', 'decayrates_vs_density.csv', '--out', 'fit3.csv'],
-    ['fit', 'density-image', 'image.csv', '--mode', 'projection',
-     '--out', 'fit4.csv'],
-]
-for args in commands:
+for label, args in json.loads(sys.argv[2]):
     code = cli.main(args + ['--scenario', sys.argv[1]])
-    stage = ' '.join(args[:2]) if args[0] == 'fit' else args[0]
-    report[stage] = heavy() if code == 0 else f'exit {code}'
+    report[label] = heavy() if code == 0 else f'exit {code}'
 print(json.dumps(report))
 """
 
 
 def test_import_loads_no_scipy(tmp_path, small_scenario):
     # neither importing mtload nor any of the README's ten commands, nor
-    # rendering or fitting an image, loads scipy or numpy.polynomial
+    # rendering or fitting an image, loads scipy or numpy.polynomial; the
+    # commands reach the child as JSON, so it does not import the manifest
     proc = subprocess.run(
-        [sys.executable, "-c", _NO_HEAVY_IMPORTS, small_scenario],
+        [sys.executable, "-c", _NO_HEAVY_IMPORTS, small_scenario,
+         json.dumps(COMMANDS)],
         env=_fresh_env(), cwd=tmp_path, capture_output=True, text=True,
         check=True)
     report = json.loads(proc.stdout)

@@ -38,7 +38,7 @@ def loading_samples(n0=1e8, tau=1.0, span=5.0, count=30, noise=0.0,
 
 def test_loading_fit_noiseless_round_trip():
     res = fit_loading_curve(loading_samples())
-    assert res.converged and res.iterations <= 100
+    assert 1 <= res.iterations <= 100
     assert res.params["N0"] == pytest.approx(1e8, rel=1e-6)
     assert res.params["tau"] == pytest.approx(1.0, rel=1e-6)
     assert res.extras["R"] == pytest.approx(1e8, rel=1e-6)
@@ -114,7 +114,7 @@ def test_loading_fit_converges_finite_or_raises(data):
             res = fit_loading_curve(data)
         except (FitNotConvergedError, InputDataError):
             return
-    assert res.converged
+    assert 1 <= res.iterations < 200
     assert res.params["N0"] > 0 and res.params["tau"] > 0
     values = [*res.params.values(), res.residual_norm, res.extras["R"]]
     assert all(math.isfinite(v) for v in values)
@@ -279,6 +279,14 @@ def test_image_fit_derived_relations(cr):
         cr.mass * G_ACCEL / (K_B * g_fit), rel=1e-12)
     assert res.extras["mu_bar"] == pytest.approx(
         2 * cr.mass * G_ACCEL * b_fit / (fld.gradient * g_fit), rel=1e-12)
+    # the derived values' errors sit in stderr under their own names
+    assert list(res.extras) == ["temperature", "mu_bar"]
+    rel_b = res.stderr["shape_b"] / b_fit
+    rel_g = res.stderr["shape_g"] / g_fit
+    assert res.stderr["temperature"] == pytest.approx(
+        res.extras["temperature"] * rel_g, rel=1e-12)
+    assert res.stderr["mu_bar"] == pytest.approx(
+        res.extras["mu_bar"] * math.hypot(rel_b, rel_g), rel=1e-12)
 
 
 def test_image_fit_flipped_gravity_axis(cr):
@@ -445,7 +453,7 @@ def test_image_fit_on_2x2_crop_gives_nan_for_undetermined(cr):
     res = fit_density_image(crop, QuadrupoleField(0.15), cr)
     assert math.isnan(res.stderr["n0"]) and math.isnan(res.stderr["shape_b"])
     assert 0.0 < res.stderr["shape_g"] < 1e-6
-    assert 0.0 < res.extras["temperature_stderr"] < 1e-12
+    assert 0.0 < res.stderr["temperature"] < 1e-12
 
 
 # -------------------------------------------------------- Bessel kernel
@@ -561,7 +569,7 @@ def synthetic_decay(beta=7e-17, t0=60.0, alpha=0.1, v0=1.4e-9, n0=1e16,
 def test_two_body_fit_noiseless_round_trip():
     density, volume = synthetic_decay()
     res = fit_two_body_loss(density, 60.0, volume)
-    assert res.converged
+    assert res.iterations == 1
     assert list(res.params) == ["n_init", "beta"]
     assert res.params["n_init"] == pytest.approx(1e16, rel=1e-12)
     assert res.params["beta"] == pytest.approx(7e-17, rel=1e-4)

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -122,7 +123,8 @@ BOUNDARIES = [
     ("rates.overlap_factor", "1", "1.0000000000000002"),
     ("sim.t_end_s", "1e-300", "0"),
     ("sim.samples", "2", "1"),
-    ("decay.initial_density_m3", "1e-300", "0"),
+    ("decay.initial_density_m3", "2.2250738585072014e-308",
+     "2.225073858507201e-308"),
     ("decay.t_end_s", "1e-300", "0"),
     ("decay.samples", "2", "1"),
     ("mc.particles", "2", "1"),
@@ -201,6 +203,15 @@ def test_seed_override_checked_against_the_seed_domain():
         sc.with_seed(-1)
 
 
+@pytest.mark.parametrize("value", ["1e-310", "5e-324"])
+def test_initial_density_must_be_a_normal_float(value):
+    # decay_density_at takes 1/n(s), finite for every normal float; a
+    # subnormal start density is a scenario error, not a numeric failure
+    with pytest.raises(ConfigError, match=r"^decay\.initial_density_m3: "
+                       r"must be >= 2\.2250738585072014e-308$"):
+        parse_scenario(f"decay.initial_density_m3 = {value}")
+
+
 def test_load_scenario_from_file(tmp_path):
     path = tmp_path / "s.cfg"
     path.write_text(SAMPLE, encoding="utf-8")
@@ -248,7 +259,8 @@ FLOAT_OVERRIDES = {
     "rates.sigma_ed_m2": NONNEGATIVE,
     "rates.overlap_factor": st.floats(0.0, 1.0, exclude_min=True),
     "sim.t_end_s": POSITIVE,
-    "decay.initial_density_m3": POSITIVE,
+    "decay.initial_density_m3": st.floats(min_value=sys.float_info.min,
+                                          allow_infinity=False),
     "decay.t_end_s": POSITIVE,
     "noise.sigma_rel": NONNEGATIVE,
     "figure2.atom_numbers": number_list(POSITIVE),
