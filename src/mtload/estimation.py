@@ -473,16 +473,13 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
 
 def fit_volume_growth(volume_series: SampleSeries) -> tuple[float, float]:
     """Linear fit of the volume history; returns (V0, alpha) for
-    V(t) = V0 (1 + alpha t), alpha set to 0 where the fit gives a shrinking
+    V(t) = V0 (1 + alpha t). alpha may come out negative, a shrinking
     cloud. A history whose fit gives V0 <= 0 raises InputDataError."""
     fit = fit_linear(volume_series)
     v0 = fit.params["intercept"]
     if v0 <= 0:
         raise InputDataError("volume fit gave a non-positive initial volume")
-    alpha = fit.params["slope"] / v0
-    if alpha < 0:
-        alpha = 0.0
-    return v0, alpha
+    return v0, fit.params["slope"] / v0
 
 
 def fit_two_body_loss(density_series: SampleSeries, t0: float,
@@ -501,12 +498,17 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     ground-state decay measurement; extras report how much beta moves when
     t0 is perturbed by +-50% (t0_sensitivity), or carry
     ``beta_consistent_with_zero = True`` when beta is not at least twice
-    its stderr. Every density sample must be positive.
+    its stderr. A negative fitted volume growth rate, a shrinking cloud, is
+    set to 0 and marked by ``volume_alpha_clamped = True``. Every density
+    sample must be positive.
     """
     density_series.require_time_axis()
     if t0 <= 0:
         raise InputDataError("t0 must be positive")
     v0, alpha = fit_volume_growth(volume_series)
+    clamped = alpha < 0
+    if clamped:
+        alpha = 0.0
     t = density_series.x
     y = density_series.y
     row = int(np.argmax(y <= 0))
@@ -540,4 +542,6 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
         result.extras["t0_sensitivity"] = float(max(shifts) / beta)
     result.extras["volume_v0"] = v0
     result.extras["volume_alpha"] = alpha
+    if clamped:
+        result.extras["volume_alpha_clamped"] = True
     return result

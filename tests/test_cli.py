@@ -6,14 +6,14 @@ import sys
 import numpy as np
 import pytest
 
-from byte_manifest import COMMANDS
+from byte_manifest import COMMANDS, SCENARIOS
 from mtload import RateModel, cli, pipelines
 from mtload.cli import main
 from mtload.dynamics import decay_density_at
 from mtload.estimation import (DensityImage, SampleSeries, fit_linear,
                                image_to_table, render_density_image)
 from mtload.leastsq import FitResult
-from mtload.tables import ResultTable, parse_csv
+from mtload.tables import ResultTable, parse_csv, read_csv
 
 SMALL = "mc.particles = 20000\nsim.samples = 25\ndecay.samples = 41\n"
 
@@ -326,6 +326,8 @@ def test_fit_two_body_round_trip(tmp_path, small_scenario):
     beta_line = [l for l in text.splitlines() if l.startswith("beta,")][0]
     beta = float(beta_line.split(",")[1])
     assert abs(beta / 7e-17 - 1) < 1e-3
+    # a growing cloud's rate is used as fitted, with no clamp note
+    assert "volume_alpha_clamped" not in text
 
 
 @pytest.mark.parametrize("seed", [3, 4, 6, 7])
@@ -593,7 +595,8 @@ def test_fit_linear_weighs_by_a_y_sigma_column(tmp_path):
 
 
 def test_fit_two_body_with_shrinking_volume(tmp_path):
-    # V = 1e-9 (1 - 0.05 t) shrinks: the fitted growth rate is clamped to 0
+    # V = 1e-9 (1 - 0.05 t) shrinks: the fitted growth rate is clamped to 0,
+    # and a note says so, so the row does not read as a fitted 0
     t = np.linspace(0.0, 10.0, 21)
     n = decay_density_at(t, 1e16, RateModel(background_lifetime=60.0,
                                             two_body_coeff=7e-17))
@@ -608,7 +611,30 @@ def test_fit_two_body_with_shrinking_volume(tmp_path):
     rows = {line.split(",")[0]: line.split(",")[1:]
             for line in text.splitlines() if not line.startswith("#")}
     assert rows["volume_alpha"][0] == "0.0"
+    assert "# note volume_alpha_clamped = True\n" in text
     assert float(rows["beta"][0]) == pytest.approx(7e-17, rel=1e-6)
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_mc_check_holds_through_the_cli(tmp_path, scenario):
+    # the Monte Carlo check as a user runs it, on the byte manifest's
+    # scenarios: every row's T_MT_mc within 5 of its standard errors of the
+    # analytic T_MT_th, and mc-transfer's mean radius within 5 of its
+    # standard errors of the exact sqrt(8/pi) sigma
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SCENARIOS[scenario], encoding="utf-8")
+    tables = {}
+    for command in ("figure4", "mc-transfer"):
+        code, out = run_to_file(tmp_path, [command, "--scenario", str(cfg)],
+                                f"{command}.csv")
+        assert code == 0
+        table = tables[command] = read_csv(str(out))
+        gap = np.abs(table.column("T_MT_mc") - table.column("T_MT_th"))
+        assert np.all(gap <= 5.0 * table.column("T_MT_mc_stderr")), command
+    transfer = tables["mc-transfer"]
+    gap = np.abs(transfer.column("mean_radius")
+                 - transfer.column("mean_radius_expected"))
+    assert np.all(gap <= 5.0 * transfer.column("mean_radius_stderr"))
 
 
 def _fresh_env():

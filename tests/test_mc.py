@@ -124,9 +124,6 @@ class RecordingGenerator:
         self.counts = self.rng.multinomial(n, pvals)
         return self.counts
 
-    def standard_exponential(self, size=None, out=None):
-        return self.rng.standard_exponential(size, out=out)
-
     def random(self, size=None, out=None):
         return self.rng.random(size, out=out)
 
@@ -420,19 +417,28 @@ def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
                           QuadrupoleField(gradient), cr, count, seed)
 
 
+def exponentials(rng, size):
+    """simulate_transfer's standard exponentials: -log(1 - U) of one
+    uniform draw."""
+    return -np.log(1.0 - rng.random(size))
+
+
 def draws_of_block(rng, size):
     """One block of simulate_transfer's draws, taken in the documented
-    order E'', U, E', E, and what it makes of them: Z^2/2 = E'' c and
-    Z'^2/2 = E'' (1 - c) with c = cos^2(pi U), then
-    |r|^2/sigma^2 = 2 (E + Z^2/2) and G_v = E' + Z'^2/2."""
-    e_pair = rng.standard_exponential(size)
-    c = np.cos(np.pi * rng.random(size))
-    e_v = rng.standard_exponential(size)
-    e_r = rng.standard_exponential(size)
-    half_z2 = (c * c) * e_pair
+    order E'', U, E', E, and what it makes of them, by name: c =
+    1/(1 + tan^2(pi U/2)), Z^2/2 = E''/(1 + tan^2(pi U/2)) and
+    Z'^2/2 = E'' - Z^2/2, then |r|^2/sigma^2 = 2 (E + Z^2/2) and
+    G_v = E' + Z'^2/2."""
+    e_pair = exponentials(rng, size)
+    tan = np.tan(rng.random(size) * (0.5 * np.pi))
+    secant_sq = tan * tan + 1.0
+    e_v = exponentials(rng, size)
+    e_r = exponentials(rng, size)
+    half_z2 = e_pair / secant_sq
     half_z2_prime = e_pair - half_z2
-    return (half_z2, half_z2_prime, 2.0 * (e_r + half_z2),
-            e_v + half_z2_prime)
+    return {"e_pair": e_pair, "e_v": e_v, "e_r": e_r, "c": 1.0 / secant_sq,
+            "half_z2": half_z2, "half_z2_prime": half_z2_prime,
+            "chi_r": 2.0 * (e_r + half_z2), "g_v": e_v + half_z2_prime}
 
 
 def audit_of_draws(cloud, dist, fld, species, count, rng):
@@ -447,9 +453,9 @@ def audit_of_draws(cloud, dist, fld, species, count, rng):
     chi_r, g_v = [], []
     for atoms in per_m[5:]:
         for first in range(0, atoms, BLOCK):
-            _, _, chi, g = draws_of_block(rng, min(BLOCK, atoms - first))
-            chi_r.append(chi)
-            g_v.append(g)
+            draws = draws_of_block(rng, min(BLOCK, atoms - first))
+            chi_r.append(draws["chi_r"])
+            g_v.append(draws["g_v"])
     radius = cloud.size_sigma * np.sqrt(np.concatenate(chi_r))
     kinetic = K_B * cloud.temperature * np.concatenate(g_v)
     potential = species.lande_g_d * m * MU_B * fld.gradient * radius
@@ -462,19 +468,24 @@ PAIR = PumpingDistribution((0, 0, 0, 0, 0, 0.25, 0, 0, 0.75))
 
 
 def test_block_draws_have_the_chi_square_laws():
-    # the Box-Muller split of one exponential and one angle into two
-    # squared normals: |r|^2/sigma^2 chi-square with 3 degrees of freedom
-    # and G_v Gamma(3/2), which holds only if Z^2 and Z'^2 are each
-    # chi-square with 1, and Z^2 and Z'^2, which share E'', uncorrelated
-    # within 5 standard errors of a zero Pearson r
+    # the law of each step: every exponential -log(1 - U) is Exp(1) and
+    # c = 1/(1 + tan^2(pi U/2)) has the arcsine law Beta(1/2, 1/2), so
+    # Z^2/2 and Z'^2/2 are each Gamma(1/2), |r|^2/sigma^2 is chi-square
+    # with 3 degrees of freedom and G_v Gamma(3/2); Z^2 and Z'^2, which
+    # share E'', are uncorrelated within 5 standard errors of a zero
+    # Pearson r
     rng = seed_stream(51, "laws")
-    half_z2, half_z2_prime, chi_r, g_v = map(np.concatenate, zip(*(
-        draws_of_block(rng, BLOCK) for _ in range(2**18 // BLOCK))))
-    n = len(chi_r)
-    for sample, law in ((chi_r, stats.chi2(3)), (g_v, stats.gamma(1.5))):
-        assert stats.kstest(sample, law.cdf).pvalue > 1e-3
-    r = np.corrcoef(half_z2, half_z2_prime)[0, 1]
-    assert abs(r) <= 5.0 / math.sqrt(n)
+    blocks = [draws_of_block(rng, BLOCK) for _ in range(2**18 // BLOCK)]
+    draws = {name: np.concatenate([block[name] for block in blocks])
+             for name in blocks[0]}
+    laws = {"e_pair": stats.expon(), "e_v": stats.expon(),
+            "e_r": stats.expon(), "c": stats.beta(0.5, 0.5),
+            "half_z2": stats.gamma(0.5), "half_z2_prime": stats.gamma(0.5),
+            "chi_r": stats.chi2(3), "g_v": stats.gamma(1.5)}
+    for name, law in laws.items():
+        assert stats.kstest(draws[name], law.cdf).pvalue > 1e-3, name
+    r = np.corrcoef(draws["half_z2"], draws["half_z2_prime"])[0, 1]
+    assert abs(r) <= 5.0 / math.sqrt(len(draws["chi_r"]))
 
 
 @pytest.mark.parametrize("seed", [7, 65536])
@@ -675,6 +686,40 @@ def test_draw_failure_reaches_the_caller_unchanged(cr, field):
                           10_000, rng)
     assert raised.value is error
     assert rng.calls == 2
+
+
+class EdgeGenerator:
+    """Fills every uniform draw with the two ends of numpy's range, 0.0 and
+    the largest float below 1: value j of the i-th fill is the end that bit
+    i % 4 of j names, so 16 atoms of a block take every combination of
+    ends across the block's four fills."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def multinomial(self, n, pvals):
+        return self.rng.multinomial(n, pvals)
+
+    def random(self, out):
+        bit = self.calls % 4
+        self.calls += 1
+        upper = (np.arange(len(out)) >> bit) & 1
+        out[:] = np.where(upper, np.nextafter(1.0, 0.0), 0.0)
+        return out
+
+
+@pytest.mark.parametrize("dist", [
+    PumpingDistribution.point(4), UPPER,
+], ids=["m4", "upper"])
+def test_edge_draws_stay_finite(cr, field, dist):
+    # U = 0 and U just below 1 in every draw: -log(1 - U) never sees 0 and
+    # pi U/2 stays below pi/2, so the tangent is finite; no RuntimeWarning
+    # and every figure finite
+    rng = EdgeGenerator(seed_stream(42, "edges"))
+    report = simulate_transfer(mot(), dist, field, cr, 1000, rng)
+    assert rng.calls % 4 == 0 and rng.calls >= 4
+    assert all(math.isfinite(value)
+               for value in dataclasses.astuple(report))
 
 
 def test_transfer_leaves_no_thread_behind(cr, field):
