@@ -471,21 +471,12 @@ def fit_density_image(image: DensityImage, field: QuadrupoleField,
     return result
 
 
-def fit_volume_growth(volume_series: SampleSeries) -> tuple[float, float]:
-    """Linear fit of the volume history; returns (V0, alpha) for
-    V(t) = V0 (1 + alpha t). alpha may come out negative, a shrinking
-    cloud. A history whose fit gives V0 <= 0 raises InputDataError."""
-    fit = fit_linear(volume_series)
-    v0 = fit.params["intercept"]
-    if v0 <= 0:
-        raise InputDataError("volume fit gave a non-positive initial volume")
-    return v0, fit.params["slope"] / v0
-
-
 def fit_two_body_loss(density_series: SampleSeries, t0: float,
                       volume_series: SampleSeries) -> FitResult:
     """Fit the start density n_init and the two-body coefficient beta in
-    closed form, after a linear fit of the volume history.
+    closed form, after a linear fit of the volume history,
+    V(t) = V0 (1 + alpha t); a fit that gives V0 <= 0 raises
+    InputDataError.
 
     With n = w / (1/n_init + beta I) (``_decay_solution``), z = w/n is
     linear in (1/n_init, beta), and w and I depend on neither. The noise
@@ -505,7 +496,11 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     density_series.require_time_axis()
     if t0 <= 0:
         raise InputDataError("t0 must be positive")
-    v0, alpha = fit_volume_growth(volume_series)
+    volume = fit_linear(volume_series).params
+    v0 = volume["intercept"]
+    if v0 <= 0:
+        raise InputDataError("volume fit gave a non-positive initial volume")
+    alpha = volume["slope"] / v0
     clamped = alpha < 0
     if clamped:
         alpha = 0.0

@@ -119,7 +119,7 @@ def _parse_value(key: str, kind: str, text: str, lineno: int):
         return number(text, "a number or 'virial'")
     if kind == _FLOAT_LIST:
         parts = [p.strip() for p in text.split(",")]
-        if not parts or parts == [""]:
+        if parts == [""]:
             fail("expected a nonempty comma-separated number list")
         return tuple(number(p, "numbers") for p in parts)
     raise AssertionError(f"unhandled kind {kind}")

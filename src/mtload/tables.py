@@ -86,10 +86,6 @@ class ParsedTable:
         available = ", ".join(n for n, _ in self.columns)
         raise ConfigError(f"missing column {name!r} (file has: {available})")
 
-    def embedded_scenario_text(self) -> str:
-        lines = [value for key, value in self.provenance if key == "scenario"]
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def _split_header_field(text: str) -> tuple[str, str]:
     text = text.strip()

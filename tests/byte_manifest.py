@@ -1,5 +1,8 @@
 """Byte manifest of the README's ten commands on four scenarios.
 
+The commands are the README's "Command-line usage" block as written, so
+a README command that fails or whose output changes fails the tests.
+
 For every (scenario, command) pair the manifest holds the sha256 of the
 command's output file, its stderr text and its exit code. It also holds
 the sha256 of the density image that ``fit density-image`` reads, which
@@ -43,24 +46,33 @@ SCENARIOS = {
         "rates.two_body_m3_per_s = 0\nnoise.sigma_rel = 0.01\n"),
 }
 
-# the README's ten commands in its order; each also gets --scenario run.cfg
-COMMANDS = (
-    ("simulate-loading", ["simulate-loading", "--seed", "7",
-                          "--out", "loading.csv"]),
-    ("simulate-decay", ["simulate-decay", "--out", "decay.csv"]),
-    ("figure2", ["figure2", "--out", "rates_vs_motsize.csv"]),
-    ("figure3", ["figure3", "--out", "decayrates_vs_density.csv"]),
-    ("figure4", ["figure4", "--out", "temperatures_vs_lightshift.csv"]),
-    ("mc-transfer", ["mc-transfer", "--out", "transfer_check.csv"]),
-    ("fit-loading-curve", ["fit", "loading-curve", "loading.csv",
-                           "--out", "fit_loading.csv"]),
-    ("fit-two-body", ["fit", "two-body", "decay.csv",
-                      "--out", "fit_two_body.csv"]),
-    ("fit-linear", ["fit", "linear", "decayrates_vs_density.csv",
-                    "--out", "fit_linear.csv"]),
-    ("fit-density-image", ["fit", "density-image", "image.csv",
-                           "--mode", "projection", "--out", "fit_image.csv"]),
-)
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(heading: str, language: str) -> str:
+    """The text of the first ``language`` code block under the README's
+    ``## heading``."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+def readme_commands() -> tuple:
+    """The README's command block as (label, args) pairs, in its order.
+    The label is the subcommand, or ``fit-<name>`` for a fit; a command
+    that prints to stdout gets ``--out <label>.csv``. Each also gets
+    ``--scenario run.cfg`` when it runs."""
+    commands = []
+    for line in readme_block("Command-line usage", "sh").splitlines():
+        args = line.split()[1:]  # without the leading "mtload"
+        label = f"fit-{args[1]}" if args[0] == "fit" else args[0]
+        if "--out" not in args:
+            args += ["--out", f"{label}.csv"]
+        commands.append((label, args))
+    return tuple(commands)
+
+
+COMMANDS = readme_commands()
 
 
 def sha256(data: bytes) -> str:

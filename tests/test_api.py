@@ -1,18 +1,13 @@
-import re
 import types
-from pathlib import Path
 
 import mtload
-
-README = Path(__file__).resolve().parents[1] / "README.md"
+from byte_manifest import README, readme_block
 
 
 def test_public_names_resolve_and_readme_example_runs():
     missing = [name for name in mtload.__all__ if not hasattr(mtload, name)]
     assert missing == []
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library usage\n", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    block = readme_block("Library usage", "python")
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["n_of_t"].shape == (50,)

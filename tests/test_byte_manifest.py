@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from byte_manifest import (MANIFEST, SCENARIOS, changed_entries, dumps,
-                           environment, image_csv, scenario_outputs, sha256)
+from byte_manifest import (COMMANDS, MANIFEST, SCENARIOS, changed_entries,
+                           dumps, environment, image_csv, scenario_outputs,
+                           sha256)
 
 COMMITTED = json.loads(MANIFEST.read_text(encoding="utf-8"))
 
@@ -19,7 +20,9 @@ def require_manifest_environment():
 
 
 def test_manifest_covers_ten_commands_on_each_scenario():
-    assert len(COMMITTED["outputs"]) == 10 * len(SCENARIOS)
+    # the README promises ten commands
+    assert len(COMMANDS) == 10
+    assert len(COMMITTED["outputs"]) == len(COMMANDS) * len(SCENARIOS)
     assert dumps(COMMITTED) == MANIFEST.read_text(encoding="utf-8")
 
 

@@ -17,9 +17,6 @@ from mtload.tables import ResultTable, parse_csv, read_csv
 
 SMALL = "mc.particles = 20000\nsim.samples = 25\ndecay.samples = 41\n"
 
-ALL_COMMANDS = ("simulate-loading", "simulate-decay", "figure2", "figure3",
-                "figure4", "mc-transfer")
-
 
 @pytest.fixture
 def small_scenario(tmp_path):
@@ -34,7 +31,7 @@ def run_to_file(tmp_path, args, name="out.csv"):
     return code, out
 
 
-@pytest.mark.parametrize("command", ALL_COMMANDS)
+@pytest.mark.parametrize("command", cli.SIMULATIONS)
 def test_byte_identical_reruns(tmp_path, small_scenario, command):
     code1, out1 = run_to_file(
         tmp_path, [command, "--scenario", small_scenario, "--seed", "5"],
@@ -133,8 +130,8 @@ def test_non_finite_scenario_value_is_config_error(tmp_path, capsys, line,
 
 
 @pytest.mark.parametrize("command, code", [
-    ("figure2", 2), ("figure3", 2), ("simulate-loading", 0),
-    ("simulate-decay", 0), ("figure4", 0), ("mc-transfer", 0)])
+    (name, 2 if name in ("figure2", "figure3") else 0)
+    for name in cli.SIMULATIONS])
 def test_simulations_without_excitation(tmp_path, capsys, command, code):
     # intensity 0 is inside the key's domain, and P_e = 0 leaves figure2 a
     # loading rate of 0 and figure3 n_e v = 0 to fit: both refuse the key
@@ -422,6 +419,14 @@ def test_fit_missing_column_is_config_error(tmp_path):
     assert main(["fit", "loading-curve", str(bad)]) == 2
 
 
+def test_fit_linear_with_one_column_is_config_error(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("x(1)\n0\n1\n2\n", encoding="utf-8")
+    assert main(["fit", "linear", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: linear fit needs at least two columns" in err
+
+
 @pytest.mark.parametrize("fitter,text,message", [
     ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n2,8\n",
      "need at least 5 samples"),
@@ -443,6 +448,10 @@ def test_fit_missing_column_is_config_error(tmp_path):
     pytest.param("density-image", image_to_table(DensityImage(
         np.zeros((2, 2)), 2e-5, ("y", "x"))).to_csv(),
         "degenerate image: all pixels zero", id="density-image-all-zero"),
+    pytest.param("density-image", image_to_table(DensityImage(
+        np.pad([[1.0]], 1), 2e-5, ("y", "x"))).to_csv(),
+        "degenerate image: no spatial extent",
+        id="density-image-lit-at-centre"),
 ])
 def test_fit_input_data_error_exit_code(tmp_path, capsys, fitter, text,
                                         message):
@@ -662,7 +671,8 @@ def test_rerun_of_embedded_scenario_is_identical(tmp_path, small_scenario):
         tmp_path, ["figure3", "--scenario", small_scenario, "--seed", "11"])
     parsed = parse_csv(out.read_text(encoding="utf-8"))
     embedded = tmp_path / "embedded.cfg"
-    embedded.write_text(parsed.embedded_scenario_text(), encoding="utf-8")
+    embedded.write_text("\n".join(value for key, value in parsed.provenance
+                                  if key == "scenario"), encoding="utf-8")
     code, out2 = run_to_file(
         tmp_path, ["figure3", "--scenario", str(embedded)], "rerun.csv")
     assert code == 0
@@ -712,5 +722,5 @@ def test_import_loads_no_scipy(tmp_path, small_scenario):
         env=_fresh_env(), cwd=tmp_path, capture_output=True, text=True,
         check=True)
     report = json.loads(proc.stdout)
-    assert len(report) == 13
+    assert len(report) == 3 + len(COMMANDS)
     assert report == {stage: [] for stage in report}

@@ -671,9 +671,6 @@ class FailingGenerator:
             raise self.error
         return method(size, out=out)
 
-    def standard_exponential(self, size=None, out=None):
-        return self._draw(self.rng.standard_exponential, size, out)
-
     def random(self, size=None, out=None):
         return self._draw(self.rng.random, size, out)
 

@@ -53,6 +53,13 @@ def test_parse_round_trip():
     assert parsed.notes == ["derived R_per_s = 1000.0"]
 
 
+def test_parse_accepts_unitless_header_blank_and_bare_comment_lines():
+    parsed = parse_csv("#\n\nx,y(m)\n\n1.0,2.0\n")
+    assert parsed.notes == [""]
+    assert parsed.columns == [("x", ""), ("y", "m")]
+    np.testing.assert_array_equal(parsed.data, [[1.0, 2.0]])
+
+
 def test_missing_column_named_in_error():
     parsed = parse_csv(sample_table().to_csv())
     with pytest.raises(ConfigError, match="missing column 'n0'"):
@@ -62,8 +69,8 @@ def test_missing_column_named_in_error():
 def test_embedded_scenario_reproduces():
     text = sample_table().to_csv()
     parsed = parse_csv(text)
-    embedded = parsed.embedded_scenario_text()
-    sc = parse_scenario(embedded)
+    sc = parse_scenario("\n".join(value for key, value in parsed.provenance
+                                   if key == "scenario"))
     assert sc.seed == 7
     assert sc.sha256() == dict(parsed.provenance)["scenario-sha256"]
 
