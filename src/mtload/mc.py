@@ -21,15 +21,16 @@ the Box-Muller polar identity gives the pair from one exponential E'' and
 one uniform U: Z^2 = 2 E'' c and Z'^2 = 2 E'' (1 - c) with
 c = cos^2(pi U/2) = 1/(1 + tan^2(pi U/2)), which has the arcsine law of
 cos^2 of any uniform angle. Every exponential is drawn by inversion,
-E = -log(1 - U), from one uniform fill. Where the CPU allows, numpy
+E = -log(1 - U). Every uniform is U = u 2**-32 for a 32-bit word u, one
+half of one of the generator's raw 64-bit outputs, so each atom's four
+uniforms cost two generator outputs. Where the CPU allows, numpy
 evaluates tan and log on vectorised kernels, several times faster per
-value than its cosine and its ziggurat exponential sampler, so each atom
-costs four uniform fills and a few elementwise passes. Only the trapped
-atoms are drawn. A call runs on the calling thread and streams each
-substate's trapped atoms in blocks of at most ``_BLOCK`` = 2**14 through
-three float buffers, folding each block's moments into running ones, so
-it holds at most 384 KiB, small enough for a core's L2 cache, whatever
-the count.
+value than its cosine and its ziggurat exponential sampler. Only the
+trapped atoms are drawn. A call runs on the calling thread and streams
+each substate's trapped atoms in blocks of at most ``_BLOCK`` = 2**14
+through three float buffers, folding each block's moments into running
+ones, so it holds at most 384 KiB, small enough for a core's L2 cache,
+and one draw's 64 KiB of raw words at a time, whatever the count.
 """
 
 import math
@@ -46,8 +47,8 @@ from .species import SpeciesData
 ZEEMAN_M_VALUES = tuple(range(-4, 5))
 
 # atoms of one substate per block of simulate_transfer: three float64
-# buffers of this length, 128 KiB each, are all that a call allocates per
-# atom
+# buffers of this length, 128 KiB each, and one draw's 32-bit words, 64 KiB,
+# are all that a call allocates per atom
 _BLOCK = 2**14
 
 
@@ -105,14 +106,25 @@ class TransferReport:
     mean_radius_stderr: float    # m
 
 
-def _exponentials(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` with standard exponentials -log(1 - U) from one uniform
-    fill. numpy's U are multiples of 2**-53 below 1, so 1 - U is exact and
-    never 0."""
-    rng.random(out=out)
-    np.subtract(1.0, out, out=out)
+def _words(rng: np.random.Generator, out: np.ndarray) -> None:
+    """Copy ``len(out)`` 32-bit words u of the generator into ``out``: the
+    halves, low half first, of ceil(len(out)/2) raw 64-bit outputs; an odd
+    length leaves the high half of the last output unused."""
+    k = len(out)
+    raw = rng.bit_generator.random_raw((k + 1) // 2)
+    out[...] = raw.astype("<u8", copy=False).view("<u4")[:k]
+
+
+def _negative_exponentials(rng: np.random.Generator,
+                           out: np.ndarray) -> None:
+    """Fill ``out`` with minus standard exponentials, log(1 - U) for
+    U = u 2**-32 of one ``_words`` draw: 1 - U = (2**32 - u) 2**-32 is
+    exact and at least 2**-32, so every value lies in [-32 log 2, 0]; the
+    law's tail beyond 32 log 2 ~ 22.18 has probability 2**-32."""
+    _words(rng, out)
+    np.subtract(2.0**32, out, out=out)
+    out *= 2.0**-32
     np.log(out, out=out)
-    np.negative(out, out=out)
 
 
 def _fold(moments, x: np.ndarray, scratch: np.ndarray):
@@ -123,10 +135,10 @@ def _fold(moments, x: np.ndarray, scratch: np.ndarray):
     ``scratch``), and blocks are merged with the pairwise update of Chan,
     Golub & LeVeque (1979)."""
     k = len(x)
-    mean = float(x.mean())
+    mean = float(np.add.reduce(x)) / k
     deviation = np.subtract(x, mean, out=scratch[:k])
     np.multiply(deviation, deviation, out=deviation)
-    m2 = float(deviation.sum())
+    m2 = float(np.add.reduce(deviation))
     if moments is None:
         return k, mean, m2
     count, running_mean, running_m2 = moments
@@ -155,25 +167,29 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     standard normal Z. The draws are: the atom count per substate (one
     multinomial over the normalised distribution), then, for the trapped
     substates m = 1..4 in turn, that substate's atoms one block of at most
-    ``_BLOCK`` = 2**14 at a time, each draw filling one value per atom of
-    the block in the order E'', U, E' and E, each one ``random`` fill;
-    every exponential is -log(1 - U') of its own uniforms U'. Box-Muller
-    makes Z^2/2 = E'' c and Z'^2/2 = E'' (1 - c) of the first two, with
-    c = 1/(1 + tan^2(pi U/2)), so Z^2/2 is computed as
-    E''/(1 + tan^2(pi U/2)); the float pi/2 lies below pi/2, so the tangent
-    stays finite. Per atom |r| = sigma sqrt(2 (E + Z^2/2)), the kinetic
-    energy is k_B T G_v with G_v = E' + Z'^2/2, a Gamma(3/2) variate, and
-    the potential, in the isotropic mean-gradient convention of the
-    analytic estimate, is (g_d m mu_B) b |r|, so every block holds one
-    substate and is scaled by one coefficient. Each block's radius moments
-    are taken before the radius becomes the potential in place, its
-    energy moments after the potential is added to the kinetic term, and
-    both are merged across blocks by ``_fold``. A call allocates three
-    buffers of min(largest substate, 2**14) floats, 384 KiB at most, at
-    any count. When one block holds every trapped atom, every figure
-    equals numpy's ``mean`` and ``std(ddof=1)`` over the per-atom values;
-    otherwise the merged folds agree with them to 1e-15 relative. Fewer
-    than 2 trapped atoms have no sample variance and raise ``ValueError``.
+    ``_BLOCK`` = 2**14 at a time, each draw taking one 32-bit word u per
+    atom of the block (``_words``) in the order E'', U, E' and E. Every
+    uniform is U = u 2**-32 and every exponential is -log(1 - U) of its
+    own words, at most 32 log 2. Box-Muller makes Z^2/2 = E'' c and
+    Z'^2/2 = E'' (1 - c) of the first two, with c = 1/(1 + tan^2(pi U/2)),
+    so Z^2/2 is computed as E''/(1 + tan^2(pi U/2)); the angle
+    pi u 2**-33 stays below pi/2, so the tangent stays finite. Per atom
+    |r| = sigma sqrt(2 (E + Z^2/2)), the kinetic energy is k_B T G_v with
+    G_v = E' + Z'^2/2, a Gamma(3/2) variate, and the potential, in the
+    isotropic mean-gradient convention of the analytic estimate, is
+    (g_d m mu_B) b |r|, so every block holds one substate and is scaled by
+    one coefficient. The block carries the exponentials with their sign
+    flipped, log(1 - U), and the sign goes into the factors -2 and
+    -k_B T. Each block's radius moments are taken before the radius
+    becomes the potential in place, its energy moments after the potential
+    is added to the kinetic term, and both are merged across blocks by
+    ``_fold``. A call allocates three buffers of min(largest substate,
+    2**14) floats, 384 KiB at most, and one draw's raw words, 64 KiB at
+    most, at any count. When one block holds every trapped atom, every
+    figure equals numpy's ``mean`` and ``std(ddof=1)`` over the per-atom
+    values; otherwise the merged folds agree with them to 1e-15 relative.
+    Fewer than 2 trapped atoms have no sample variance and raise
+    ``ValueError``.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
@@ -200,25 +216,26 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
             radius, total, odd = radius_buf[:k], total_buf[:k], scratch[:k]
             # Box-Muller: Z^2/2 = E'' c and Z'^2/2 = E'' (1 - c), with
             # 1/c = 1 + tan^2(pi U/2); then G_v = E' + Z'^2/2 and
-            # |r|^2/sigma^2 = 2 (E + Z^2/2)
-            _exponentials(rng, radius)
-            rng.random(out=odd)
-            odd *= 0.5 * math.pi
+            # |r|^2/sigma^2 = 2 (E + Z^2/2), each held negated until the
+            # factors -2 and -k_B T
+            _negative_exponentials(rng, radius)
+            _words(rng, odd)
+            odd *= math.pi * 2.0**-33
             np.tan(odd, out=odd)
             np.square(odd, out=odd)
             odd += 1.0
             np.divide(radius, odd, out=odd)
-            _exponentials(rng, total)
+            _negative_exponentials(rng, total)
             radius -= odd
             total += radius
-            _exponentials(rng, radius)
+            _negative_exponentials(rng, radius)
             radius += odd
-            radius *= 2.0
+            radius *= -2.0
             np.sqrt(radius, out=radius)
             radius *= mot.size_sigma
             radius_moments = _fold(radius_moments, radius, scratch)
             radius *= coeff
-            total *= K_B * mot.temperature
+            total *= -K_B * mot.temperature
             total += radius
             energy_moments = _fold(energy_moments, total, scratch)
     mean_radius = radius_moments[1]

@@ -9,7 +9,6 @@ form (sorted keys, normalized values) is hashed into every output file so
 a result can always be traced back to its exact configuration.
 """
 
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from .constants import MU_B
 from .errors import ConfigError
 from .excitation import LightField
 from .species import SpeciesData, chromium52
-from .tables import format_number, read_text
+from .tables import format_number, read_text, text_sha256
 
 _FLOAT = "float"
 _INT = "int"
@@ -150,7 +149,7 @@ class Scenario:
         return "\n".join(lines) + "\n"
 
     def sha256(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+        return text_sha256(self.canonical_text())
 
     def with_seed(self, seed: int) -> "Scenario":
         _check("seed", seed)

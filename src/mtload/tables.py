@@ -7,6 +7,7 @@ SI regardless of the units used in the scenario file. Output depends only
 on (scenario, seed): no clocks, no locale, so reruns are byte-identical.
 """
 
+import hashlib
 import io
 from dataclasses import dataclass, field
 
@@ -19,6 +20,8 @@ TOOL_VERSION = "0.1.0"
 
 def format_number(value) -> str:
     """Deterministic shortest round-trip decimal form."""
+    if isinstance(value, float):
+        return float.__repr__(value)
     if isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -52,19 +55,25 @@ class ResultTable:
             out.write(f"# note {note}\n")
         out.write(self.header() + "\n")
         for row in self.rows:
-            out.write(",".join(format_number(v) for v in row) + "\n")
+            out.write(",".join(map(format_number, row)) + "\n")
         return out.getvalue()
+
+
+def text_sha256(text: str) -> str:
+    """Hex sha256 of ``text`` encoded as UTF-8."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def provenance_header(scenario) -> list[tuple[str, str]]:
     """Standard provenance block: version, scenario hash, the scenario's
     seed, and the full canonical scenario (so any output can be re-run)."""
+    text = scenario.canonical_text()
     lines = [
         ("mtload-version", TOOL_VERSION),
-        ("scenario-sha256", scenario.sha256()),
+        ("scenario-sha256", text_sha256(text)),
         ("seed", str(scenario.seed)),
     ]
-    for line in scenario.canonical_text().splitlines():
+    for line in text.splitlines():
         lines.append(("scenario", line))
     return lines
 

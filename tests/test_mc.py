@@ -119,13 +119,11 @@ class RecordingGenerator:
 
     def __init__(self, rng):
         self.rng, self.counts = rng, None
+        self.bit_generator = rng.bit_generator
 
     def multinomial(self, n, pvals):
         self.counts = self.rng.multinomial(n, pvals)
         return self.counts
-
-    def random(self, size=None, out=None):
-        return self.rng.random(size, out=out)
 
 
 def assert_matches_choice(cr, field, dist, count, seed):
@@ -417,20 +415,28 @@ def test_transfer_matches_oracle_property(cr, sigma, temperature, gradient,
                           QuadrupoleField(gradient), cr, count, seed)
 
 
+def words(rng, size):
+    """simulate_transfer's draw of ``size`` 32-bit words, as floats: the
+    halves of ceil(size/2) raw 64-bit generator outputs, low half first, so
+    an odd size leaves the last output's high half unused."""
+    raw = rng.bit_generator.random_raw(-(-size // 2))
+    return raw.astype("<u8").view("<u4")[:size].astype(float)
+
+
 def exponentials(rng, size):
-    """simulate_transfer's standard exponentials: -log(1 - U) of one
-    uniform draw."""
-    return -np.log(1.0 - rng.random(size))
+    """simulate_transfer's standard exponentials: -log(1 - U) of one draw
+    of words u, with 1 - U = (2**32 - u) 2**-32."""
+    return -np.log((2.0**32 - words(rng, size)) * 2.0**-32)
 
 
 def draws_of_block(rng, size):
     """One block of simulate_transfer's draws, taken in the documented
     order E'', U, E', E, and what it makes of them, by name: c =
-    1/(1 + tan^2(pi U/2)), Z^2/2 = E''/(1 + tan^2(pi U/2)) and
-    Z'^2/2 = E'' - Z^2/2, then |r|^2/sigma^2 = 2 (E + Z^2/2) and
-    G_v = E' + Z'^2/2."""
+    1/(1 + tan^2(pi U/2)) with pi U/2 = pi u 2**-33,
+    Z^2/2 = E''/(1 + tan^2(pi U/2)) and Z'^2/2 = E'' - Z^2/2, then
+    |r|^2/sigma^2 = 2 (E + Z^2/2) and G_v = E' + Z'^2/2."""
     e_pair = exponentials(rng, size)
-    tan = np.tan(rng.random(size) * (0.5 * np.pi))
+    tan = np.tan(words(rng, size) * (np.pi * 2.0**-33))
     secant_sq = tan * tan + 1.0
     e_v = exponentials(rng, size)
     e_r = exponentials(rng, size)
@@ -489,8 +495,8 @@ def test_block_draws_have_the_chi_square_laws():
 
 
 @pytest.mark.parametrize("seed", [7, 65536])
-@pytest.mark.parametrize("count", [1000, BLOCK, 3 * BLOCK + 5, 2**17, 131079,
-                                   3 * 2**17 + 5])
+@pytest.mark.parametrize("count", [1000, BLOCK - 1, BLOCK, 3 * BLOCK + 5,
+                                   2**17, 131079, 3 * 2**17 + 5])
 @pytest.mark.parametrize("dist", [
     PumpingDistribution.uniform(), PumpingDistribution.point(4), UPPER,
     PumpingDistribution.point(1), PAIR,
@@ -502,7 +508,9 @@ def test_transfer_is_bit_identical_to_ensemble_audit(cr, field, dist, count,
     # block holds every trapped atom; with more blocks the merged block
     # moments sum in another order than numpy's two passes, so they agree
     # to 1e-15; the counts of 2**17 and beyond are the block edges of an
-    # earlier sampler
+    # earlier sampler; the odd BLOCK - 1 of point(4) is one block that
+    # leaves half of its last raw output unused, which the generator
+    # state pins
     rng = seed_stream(seed, "bits")
     n, total, radius, blocks = audit_of_draws(mot(), dist, field, cr, count,
                                               rng)
@@ -656,23 +664,21 @@ def test_transfer_accepts_numpy_integer_count(cr, field, integer):
 
 
 class FailingGenerator:
-    """Draws from ``rng`` until the second draw of per-atom values, which
-    raises ``error``."""
+    """Draws from ``rng`` until the second draw of per-atom words, which
+    raises ``error``; it serves as its own ``bit_generator``."""
 
     def __init__(self, rng, error):
         self.rng, self.error, self.calls = rng, error, 0
+        self.bit_generator = self
 
     def multinomial(self, n, pvals):
         return self.rng.multinomial(n, pvals)
 
-    def _draw(self, method, size, out):
+    def random_raw(self, size):
         self.calls += 1
         if self.calls == 2:
             raise self.error
-        return method(size, out=out)
-
-    def random(self, size=None, out=None):
-        return self._draw(self.rng.random, size, out)
+        return self.rng.bit_generator.random_raw(size)
 
 
 def test_draw_failure_reaches_the_caller_unchanged(cr, field):
@@ -686,32 +692,32 @@ def test_draw_failure_reaches_the_caller_unchanged(cr, field):
 
 
 class EdgeGenerator:
-    """Fills every uniform draw with the two ends of numpy's range, 0.0 and
-    the largest float below 1: value j of the i-th fill is the end that bit
-    i % 4 of j names, so 16 atoms of a block take every combination of
-    ends across the block's four fills."""
+    """Fills every draw of words with the two ends of their range, 0 and
+    2**32 - 1: word j of the i-th draw is the end that bit i % 4 of j
+    names, so 16 atoms of a block take every combination of ends across
+    the block's four draws. It serves as its own ``bit_generator``."""
 
     def __init__(self, rng):
         self.rng, self.calls = rng, 0
+        self.bit_generator = self
 
     def multinomial(self, n, pvals):
         return self.rng.multinomial(n, pvals)
 
-    def random(self, out):
+    def random_raw(self, size):
         bit = self.calls % 4
         self.calls += 1
-        upper = (np.arange(len(out)) >> bit) & 1
-        out[:] = np.where(upper, np.nextafter(1.0, 0.0), 0.0)
-        return out
+        upper = (np.arange(2 * size) >> bit) & 1
+        return np.where(upper, 2**32 - 1, 0).astype("<u4").view("<u8")
 
 
 @pytest.mark.parametrize("dist", [
     PumpingDistribution.point(4), UPPER,
 ], ids=["m4", "upper"])
 def test_edge_draws_stay_finite(cr, field, dist):
-    # U = 0 and U just below 1 in every draw: -log(1 - U) never sees 0 and
-    # pi U/2 stays below pi/2, so the tangent is finite; no RuntimeWarning
-    # and every figure finite
+    # u = 0 and u = 2**32 - 1 in every draw: 1 - U is at least 2**-32, so
+    # -log(1 - U) never sees 0, and pi u 2**-33 stays below pi/2, so the
+    # tangent is finite; no RuntimeWarning and every figure finite
     rng = EdgeGenerator(seed_stream(42, "edges"))
     report = simulate_transfer(mot(), dist, field, cr, 1000, rng)
     assert rng.calls % 4 == 0 and rng.calls >= 4
