@@ -25,7 +25,8 @@ from .estimation import (IMAGE_MODES, SampleSeries, fit_density_image,
                          image_from_table)
 from .leastsq import FitResult
 from .scenario import load_scenario
-from .tables import ResultTable, provenance_header, read_csv
+from .tables import (ResultTable, format_number, provenance_header,
+                     read_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,8 +131,8 @@ def _require_finite(table: ResultTable, fit: bool) -> None:
                 continue
             if fit and name == "stderr" and math.isnan(value):
                 continue
-            raise ValueError(f"non-finite {name} = {value!r} in data row "
-                             f"{index}; output not written")
+            raise ValueError(f"non-finite {name} = {format_number(value)} in "
+                             f"data row {index}; output not written")
 
 
 def _write_output(table: ResultTable, out_path: str | None) -> None:

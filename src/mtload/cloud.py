@@ -92,8 +92,11 @@ def effective_volume(shape_b: float, shape_g: float) -> float:
             f"shape_b={shape_b:g}); the cloud is untrapped"
         )
     # (B - G)(B + G) rather than B^2 - G^2: no cancellation as G -> B
-    return 4.0 * math.pi * shape_b / ((shape_b - shape_g)
-                                      * (shape_b + shape_g)) ** 2
+    denominator = ((shape_b - shape_g) * (shape_b + shape_g)) ** 2
+    if denominator == 0.0:
+        raise ValueError("no finite effective volume: ((B - G)(B + G))^2 "
+                         f"underflows to 0 at shape_b={shape_b!r}")
+    return 4.0 * math.pi * shape_b / denominator
 
 
 def phase_space_density(peak_density: float, temperature: float,

@@ -12,11 +12,16 @@ with a linearly growing volume V(t) = V0 (1 + alpha t) standing in for the
 phenomenological heating. With u = 1/n the equation is linear,
 du/dt = u (1/t0 + alpha/(1 + alpha t)) + beta, and from a start time s
 
-    n(t) = w(t) / (1/n(s) + beta int_s^t w(t') dt'),
-    w(t) = exp(-(t - s)/t0) (1 + alpha s)/(1 + alpha t).
+    n(t) = w(t) / (1/n(s) + beta I(t)),
+    w(t) = exp(-(t - s)/t0) (1 + alpha s)/(1 + alpha t),
+    I(t) = int_s^t w(t') dt'.
 
-The integral of w, free of n(s) and beta, is the only numerical step, a
-fixed Gauss-Legendre sum; the atom number follows as N = n V.
+w and I are free of n(s) and beta, and n(s) must be a normal float for
+1/n(s) to be finite. I is the only numerical step: the fixed 32-node
+Gauss-Legendre rule on panels no wider than t0, between break points at
+the sample times and where 1 + alpha t doubles, so that no panel is wider
+than (1 + alpha a)/alpha at its start a either. The atom number follows
+as N = n V.
 """
 
 import math
@@ -124,19 +129,11 @@ def mot_on_decay_rate(n_e: float, sigma_ed: float, v: float,
 
 
 def _decay_solution(times: np.ndarray, t0: float, alpha: float):
-    """The n(s)- and beta-free parts of the exact decay solution on
-    ``times`` (times[0] is the start s) for lifetime t0 and volume growth
-    rate alpha: ``(w, I)``, with w(t) = exp(-(t-s)/t0) (1 + alpha s)/(1 +
-    alpha t) and I(t) = int_s^t w, so that
-
-        n(t) = w(t) / (1/n(s) + beta I(t)),
-
-    which is linear in (1/n(s), beta). w(s) = 1 and I(s) = 0.
-
-    The integral is summed with the 32-node Gauss-Legendre rule on panels
-    no wider than t0, between break points at the sample times and where
-    1 + alpha t doubles, so that no panel is wider than (1 + alpha a)/alpha
-    at its start a either.
+    """``(w, I)`` of the decay solution in the module docstring on
+    ``times``, whose first entry is the start s, for lifetime t0 and volume
+    growth rate alpha; w(s) = 1 and I(s) = 0. Raises ValueError unless
+    ``times`` is a nonempty 1-D array of finite, strictly increasing
+    values.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -148,7 +145,11 @@ def _decay_solution(times: np.ndarray, t0: float, alpha: float):
     s = times[0]
 
     def w(t):
-        return np.exp(-(t - s) / t0) * ((1.0 + alpha * s) / (1.0 + alpha * t))
+        # at a subnormal t0, (t - s)/t0 overflows to inf, and exp(-inf) = 0
+        # is the exact limit
+        with np.errstate(over="ignore"):
+            decay = np.exp(-(t - s) / t0)
+        return decay * ((1.0 + alpha * s) / (1.0 + alpha * t))
 
     # past 746 t0 the integrand underflows to 0, so the panels stop there;
     # the doubling points keep the panel count logarithmic in alpha t
@@ -173,10 +174,11 @@ def _decay_solution(times: np.ndarray, t0: float, alpha: float):
 
 def decay_density_at(times: np.ndarray, initial_density: float,
                      model: RateModel) -> np.ndarray:
-    """Peak density at the given times (times[0] is the start) under the
-    background + two-body + dilution equation, n = w / (1/n(s) + beta I)
-    (``_decay_solution``); at the start it is n(s) exactly. n(s) must be
-    a normal float, so that 1/n(s) is finite."""
+    """Peak density n(t) of the decay solution in the module docstring at
+    ``times``, whose first entry is the start; at the start it is
+    ``initial_density`` exactly. Raises ValueError for an initial density
+    that is not a finite normal float, and for ``times`` as
+    ``_decay_solution`` does."""
     if not (math.isfinite(initial_density) and initial_density >= _TINY):
         raise ValueError("initial_density must be finite and at least "
                          f"{_TINY!r}, got {initial_density!r}")

@@ -476,22 +476,27 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     """Fit the start density n_init and the two-body coefficient beta in
     closed form, after a linear fit of the volume history,
     V(t) = V0 (1 + alpha t); a fit that gives V0 <= 0 raises
-    InputDataError.
+    InputDataError. A negative fitted volume growth rate, a shrinking
+    cloud, is set to 0 and marked by ``volume_alpha_clamped = True``.
 
-    With n = w / (1/n_init + beta I) (``_decay_solution``), z = w/n is
-    linear in (1/n_init, beta), and w and I depend on neither. The noise
-    is taken as relative, so two weighted line solves: weights 1/z^2, then
-    1/z_hat^2 from the first fit. beta is unconstrained and may come out
-    negative. It and 1/n_init read about sigma^2 high, since E[1/(1 + e)]
-    = 1 + sigma^2 for relative noise e. n_init's stderr follows by the delta
-    method, and the reduced chi-square is floored at eps: relative noise
-    below sqrt(eps) is rounding. ``t0`` comes from an independent
-    ground-state decay measurement; extras report how much beta moves when
-    t0 is perturbed by +-50% (t0_sensitivity), or carry
-    ``beta_consistent_with_zero = True`` when beta is not at least twice
-    its stderr. A negative fitted volume growth rate, a shrinking cloud, is
-    set to 0 and marked by ``volume_alpha_clamped = True``. Every density
-    sample must be positive.
+    With w and I of the decay solution (``mtload.dynamics``), computed
+    once per t0 value, z = w/n = 1/n_init + beta I is linear in
+    (1/n_init, beta). The noise is taken as relative, as the simulations
+    draw it, so two weighted line solves: weights 1/z^2, then 1/z_hat^2
+    from the first fit; ``residual_norm`` is the weighted, relative norm of
+    the second. beta is unconstrained and may come out negative. It and
+    1/n_init read about sigma^2 high, +1e-4 relative at 1% noise, since
+    E[1/(1 + e)] = 1 + sigma^2 for relative noise e; this is not
+    corrected. n_init's stderr follows by the delta method, and the
+    reduced chi-square is floored at eps: relative noise below sqrt(eps)
+    is rounding.
+
+    ``t0`` comes from an independent ground-state decay measurement;
+    extras report how much beta moves when t0 is perturbed by +-50%
+    (t0_sensitivity), or carry ``beta_consistent_with_zero = True`` when
+    beta is not at least twice its stderr. Every density sample must be
+    positive: the first that is not raises InputDataError naming its data
+    row.
     """
     density_series.require_time_axis()
     if t0 <= 0:

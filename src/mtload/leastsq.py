@@ -9,8 +9,10 @@ iteration budget, or a stall where no step lowers the sum of squares,
 raises FitNotConvergedError. No randomized restarts: results are
 deterministic functions of the input.
 
-Standard errors are sqrt(s2 diag((J^T J)^-1)), s2 the reduced chi-square,
-from the SVD of the column-scaled Jacobian: NaN, never an exact 0, for a
+Every fit's standard errors, the closed-form fits' in ``estimation``
+included, come from one routine: sqrt(s2 diag((J^T J)^-1)), s2 the
+reduced chi-square, from the SVD of the Jacobian or weighted design with
+its columns scaled to unit norm. They are NaN, never an exact 0, for a
 parameter the data leave free or when no degree of freedom is left.
 
 A residual that is not finite marks a point outside the model's domain. A

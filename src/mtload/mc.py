@@ -7,30 +7,40 @@ temperature follows from the linear-potential virial relation
 <E_total> = (9/2) k_B T. No collisional dynamics is simulated; ergodic
 redistribution is assumed, exactly as in the analytic estimate.
 
-All randomness is drawn from named seed streams; identical seeds give
-bit-identical reports.
+The draw recipe of ``simulate_transfer``. The audit needs only each
+atom's substate, |r| and |v|^2, so these sufficient statistics are drawn
+directly, for the trapped atoms only, instead of 3-D positions and
+velocities. For an isotropic Gaussian of width sigma per axis and
+Maxwell-Boltzmann velocities, |r|^2/sigma^2 and |v|^2/v_th^2 are each
+chi-square with 3 degrees of freedom, which is exactly 2 E + Z^2 for a
+standard exponential E (chi-square with 2 degrees of freedom, halved) and
+an independent standard normal Z. Per atom |r| = sigma sqrt(2 E + Z^2),
+the kinetic energy is k_B T (E' + Z'^2/2), a Gamma(3/2) variate, and the
+potential, in the isotropic mean-gradient convention of the analytic
+estimate, is g_d m mu_B b |r|.
 
-The audit needs only each atom's substate, |r| and |v|^2, so
-``simulate_transfer`` samples these sufficient statistics directly
-instead of 3-D positions and velocities. For an isotropic Gaussian,
-|r|^2/sigma^2 and |v|^2/v_th^2 are each chi-square with 3 degrees of
-freedom, which is exactly 2 E + Z^2 for a standard exponential E
-(chi-square with 2 degrees of freedom, halved) and an independent standard
-normal Z. Each atom needs two such squared normals, Z^2 and Z'^2, and
-the Box-Muller polar identity gives the pair from one exponential E'' and
-one uniform U: Z^2 = 2 E'' c and Z'^2 = 2 E'' (1 - c) with
-c = cos^2(pi U/2) = 1/(1 + tan^2(pi U/2)), which has the arcsine law of
-cos^2 of any uniform angle. Every exponential is drawn by inversion,
-E = -log(1 - U). Every uniform is U = u 2**-32 for a 32-bit word u, one
-half of one of the generator's raw 64-bit outputs, so each atom's four
-uniforms cost two generator outputs. Where the CPU allows, numpy
-evaluates tan and log on vectorised kernels, several times faster per
-value than its cosine and its ziggurat exponential sampler. Only the
-trapped atoms are drawn. A call runs on the calling thread and streams
-each substate's trapped atoms in blocks of at most ``_BLOCK`` = 2**14
-through three float buffers, folding each block's moments into running
-ones, so it holds at most 384 KiB, small enough for a core's L2 cache,
-and one draw's 64 KiB of raw words at a time, whatever the count.
+* Box-Muller (Box & Muller, 1958): the polar identity gives both squared
+  normals from one exponential E'' and one uniform U, Z^2 = 2 E'' c and
+  Z'^2 = 2 E'' (1 - c) with c = cos^2(pi U/2) = 1/(1 + tan^2(pi U/2)),
+  which has the arcsine law of cos^2 of any uniform angle. The angle
+  pi U/2 = pi u 2**-33 stays below pi/2, so the tangent stays finite.
+* 32-bit words: every uniform is U = u 2**-32 for a 32-bit word u, one
+  half of one of the generator's raw 64-bit outputs (``random_raw``),
+  low half first; a draw of odd length leaves the high half of its last
+  output unused. An atom's four uniforms cost two generator outputs.
+* Exponentials by inversion, E = -log(1 - U): 1 - U = (2**32 - u) 2**-32
+  is exact and at least 2**-32, so E lies in [0, 32 log 2], about
+  [0, 22.18]; the law's tail beyond it has probability 2**-32.
+* tan and log rather than cos and numpy's ziggurat exponential sampler:
+  where the CPU allows, numpy evaluates tan and log on vectorised kernels,
+  several times faster per value.
+* Blocks: a call runs on the calling thread and streams each trapped
+  substate's atoms in turn, m = 1 to 4, in blocks of at most ``_BLOCK`` =
+  2**14, so every block holds one substate and its potential has one
+  coefficient. It allocates three float buffers of min(largest substate,
+  2**14) values, 384 KiB at most, small enough for a core's L2 cache, and
+  one draw's raw words, 64 KiB at most, whatever the count. Each block's
+  moments are folded into running ones by ``_fold``.
 """
 
 import math
@@ -46,9 +56,7 @@ from .species import SpeciesData
 
 ZEEMAN_M_VALUES = tuple(range(-4, 5))
 
-# atoms of one substate per block of simulate_transfer: three float64
-# buffers of this length, 128 KiB each, and one draw's 32-bit words, 64 KiB,
-# are all that a call allocates per atom
+# atoms of one substate per block of simulate_transfer (module docstring)
 _BLOCK = 2**14
 
 
@@ -107,9 +115,8 @@ class TransferReport:
 
 
 def _words(rng: np.random.Generator, out: np.ndarray) -> None:
-    """Copy ``len(out)`` 32-bit words u of the generator into ``out``: the
-    halves, low half first, of ceil(len(out)/2) raw 64-bit outputs; an odd
-    length leaves the high half of the last output unused."""
+    """Fill ``out`` with the generator's next ``len(out)`` words, laid out
+    as the module docstring says."""
     k = len(out)
     raw = rng.bit_generator.random_raw((k + 1) // 2)
     out[...] = raw.astype("<u8", copy=False).view("<u4")[:k]
@@ -117,10 +124,8 @@ def _words(rng: np.random.Generator, out: np.ndarray) -> None:
 
 def _negative_exponentials(rng: np.random.Generator,
                            out: np.ndarray) -> None:
-    """Fill ``out`` with minus standard exponentials, log(1 - U) for
-    U = u 2**-32 of one ``_words`` draw: 1 - U = (2**32 - u) 2**-32 is
-    exact and at least 2**-32, so every value lies in [-32 log 2, 0]; the
-    law's tail beyond 32 log 2 ~ 22.18 has probability 2**-32."""
+    """Fill ``out`` with minus standard exponentials, log(1 - U), from one
+    ``_words`` draw."""
     _words(rng, out)
     np.subtract(2.0**32, out, out=out)
     out *= 2.0**-32
@@ -157,39 +162,26 @@ def _std(moments) -> float:
 def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
                       field: QuadrupoleField, species: SpeciesData,
                       count: int, rng: np.random.Generator) -> TransferReport:
-    """Run one transfer simulation with the supplied generator (derive it
-    from a named seed stream for reproducibility).
+    """Run one transfer simulation of ``count`` reservoir atoms with the
+    supplied generator (derive it from a named seed stream for
+    reproducibility) and report the trapped atoms' temperature and mean
+    radius, each with its statistical error.
 
-    Reservoir atoms have isotropic Gaussian positions of width sigma per
-    axis and Maxwell-Boltzmann velocities at the reservoir temperature, so
-    |r|^2/sigma^2 and |v|^2/v_th^2 are chi-square with 3 degrees of
-    freedom: 2 E + Z^2 for a standard exponential E and an independent
-    standard normal Z. The draws are: the atom count per substate (one
-    multinomial over the normalised distribution), then, for the trapped
-    substates m = 1..4 in turn, that substate's atoms one block of at most
-    ``_BLOCK`` = 2**14 at a time, each draw taking one 32-bit word u per
-    atom of the block (``_words``) in the order E'', U, E' and E. Every
-    uniform is U = u 2**-32 and every exponential is -log(1 - U) of its
-    own words, at most 32 log 2. Box-Muller makes Z^2/2 = E'' c and
-    Z'^2/2 = E'' (1 - c) of the first two, with c = 1/(1 + tan^2(pi U/2)),
-    so Z^2/2 is computed as E''/(1 + tan^2(pi U/2)); the angle
-    pi u 2**-33 stays below pi/2, so the tangent stays finite. Per atom
-    |r| = sigma sqrt(2 (E + Z^2/2)), the kinetic energy is k_B T G_v with
-    G_v = E' + Z'^2/2, a Gamma(3/2) variate, and the potential, in the
-    isotropic mean-gradient convention of the analytic estimate, is
-    (g_d m mu_B) b |r|, so every block holds one substate and is scaled by
-    one coefficient. The block carries the exponentials with their sign
-    flipped, log(1 - U), and the sign goes into the factors -2 and
-    -k_B T. Each block's radius moments are taken before the radius
-    becomes the potential in place, its energy moments after the potential
-    is added to the kinetic term, and both are merged across blocks by
-    ``_fold``. A call allocates three buffers of min(largest substate,
-    2**14) floats, 384 KiB at most, and one draw's raw words, 64 KiB at
-    most, at any count. When one block holds every trapped atom, every
-    figure equals numpy's ``mean`` and ``std(ddof=1)`` over the per-atom
-    values; otherwise the merged folds agree with them to 1e-15 relative.
-    Fewer than 2 trapped atoms have no sample variance and raise
-    ``ValueError``.
+    ``mot`` gives the reservoir width sigma and temperature T, ``dist``
+    the substate probabilities (normalised here), ``field`` the gradient b
+    and ``species`` the dark-state g-factor g_d. The draws, in order: the
+    atom count per substate, one multinomial; then, for the trapped
+    substates m = 1..4 in turn, one block of that substate's atoms at a
+    time, the words of E'', U, E' and E of the module docstring's recipe,
+    one ``_words`` draw each.
+
+    When one block holds every trapped atom, every figure equals numpy's
+    ``mean`` and ``std(ddof=1)`` over the per-atom values; otherwise the
+    merged folds agree with them to 1e-15 relative.
+
+    Raises TypeError for a ``count`` that is not an integer, and
+    ValueError for a ``count`` below 1 or for fewer than 2 trapped atoms,
+    which have no sample variance.
     """
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
@@ -214,10 +206,10 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
         for first in range(0, atoms, _BLOCK):
             k = min(_BLOCK, atoms - first)
             radius, total, odd = radius_buf[:k], total_buf[:k], scratch[:k]
-            # Box-Muller: Z^2/2 = E'' c and Z'^2/2 = E'' (1 - c), with
-            # 1/c = 1 + tan^2(pi U/2); then G_v = E' + Z'^2/2 and
-            # |r|^2/sigma^2 = 2 (E + Z^2/2), each held negated until the
-            # factors -2 and -k_B T
+            # every value stays negated, as log(1 - U) is, until the
+            # factors -2 and -k_B T: odd holds -Z^2/2, radius -Z'^2/2 until
+            # it takes -E; the radius is folded before it becomes the
+            # potential in place, the energy once the potential is added
             _negative_exponentials(rng, radius)
             _words(rng, odd)
             odd *= math.pi * 2.0**-33

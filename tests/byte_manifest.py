@@ -8,7 +8,9 @@ command's output file, its stderr text and its exit code. It also holds
 the sha256 of the density image that ``fit density-image`` reads, which
 is rendered here, and the environment the bytes depend on: numpy's
 version (its Generator streams are not promised to stay fixed across
-versions) and the CPU features numpy's kernels dispatch to.
+versions) and the CPU features numpy's kernels dispatch to: on a CPU
+without numpy's vectorised kernels for ``np.tan`` and ``np.log``, which
+the Monte Carlo uses, numpy falls back to libm, whose last bits differ.
 
 Rewrite the manifest from the repository root with
 

@@ -157,6 +157,23 @@ def test_numeric_error_exit_code(tmp_path):
     assert main(["simulate-loading", "--scenario", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("line", ["mot.sigma_um = 1e100",
+                                  "mot.temperature_uK = 1e300",
+                                  "mt.temperature_uK = 1e300"])
+@pytest.mark.parametrize("command", ["simulate-loading", "simulate-decay",
+                                     "figure3"])
+def test_underflowing_volume_is_numeric_failure(tmp_path, capsys, line,
+                                                command):
+    # values inside their keys' domains that leave shape_b so small that
+    # the effective volume's denominator underflows to 0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    assert main([command, "--scenario", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("mtload: numeric failure: ")
+    assert "underflows to 0 at shape_b=" in err
+
+
 def test_io_error_exit_code():
     assert main(["fit", "loading-curve", "/no/such/file.csv"]) == 4
 
@@ -216,7 +233,11 @@ def test_rerun_into_same_path_is_identical(tmp_path, small_scenario):
     assert out.read_bytes() == first
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [
+    np.nan, np.inf, -np.inf,
+    pytest.param(np.float64(np.nan), id="float64-nan"),
+    pytest.param(np.float64(np.inf), id="float64-inf"),
+    pytest.param(np.float64(-np.inf), id="float64--inf")])
 def test_non_finite_row_is_refused_and_out_untouched(tmp_path, monkeypatch,
                                                      capsys, bad):
     def mc_transfer(sc):
@@ -229,7 +250,8 @@ def test_non_finite_row_is_refused_and_out_untouched(tmp_path, monkeypatch,
     assert main(["mc-transfer", "--out", str(out)]) == 3
     captured = capsys.readouterr()
     assert "numeric failure" in captured.err
-    assert "rel_diff" in captured.err and "row 2" in captured.err
+    # the value as the CSV would print it, np.float64 or not
+    assert f"rel_diff = {float(bad)!r} in data row 2" in captured.err
     assert out.read_bytes() == b"previous,output\n"
     assert main(["mc-transfer"]) == 3
     assert capsys.readouterr().out == ""
@@ -433,6 +455,7 @@ def test_fit_linear_with_one_column_is_config_error(tmp_path, capsys):
     ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n1,6\n2,8\n3,9\n4,9.5\n",
      "strictly increasing"),
     ("linear", "x(1),y(1)\n0,1\n1,3\n", "need at least 3 points"),
+    ("linear", "x(1),y(1)\n2,1\n2,3\n2,4\n", "x has zero variance"),
     ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n2,nan\n3,9\n4,9.5\n",
      "must be finite"),
     ("loading-curve", "t(s),N_MT(count)\n0,0\n1,-5\n2,-8\n3,-9\n4,-9.5\n",

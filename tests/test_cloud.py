@@ -173,6 +173,13 @@ def test_volume_untrapped_guard():
         effective_volume(1000.0, -1.0)
 
 
+@pytest.mark.parametrize("b_shape,g_shape", [(1e-100, 0.0), (1e-300, 5e-301)])
+def test_volume_with_underflowing_denominator_is_refused(b_shape, g_shape):
+    # ((B - G)(B + G))^2 rounds to 0 for a tiny B: no finite volume
+    with pytest.raises(ValueError, match=f"underflows.*shape_b={b_shape!r}"):
+        effective_volume(b_shape, g_shape)
+
+
 # --------------------------------------------------- phase-space density
 
 

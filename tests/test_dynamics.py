@@ -212,6 +212,16 @@ def test_decay_far_past_the_exponential_underflow():
                                  rel=1e-13)
 
 
+@pytest.mark.parametrize("beta", (0.0, 7e-17))
+def test_decay_at_subnormal_lifetime_is_exactly_zero_after_the_start(beta):
+    # (t - s)/t0 overflows to inf and exp(-inf) = 0 is the exact limit:
+    # no warning, which pytest turns into an error
+    n = decay_density_at(np.linspace(0.0, 10.0, 5), 1e16,
+                         RateModel(background_lifetime=5e-324,
+                                   two_body_coeff=beta))
+    np.testing.assert_array_equal(n, [1e16, 0.0, 0.0, 0.0, 0.0])
+
+
 def test_decay_density_at_single_time():
     np.testing.assert_array_equal(
         decay_density_at([2.0], 1e15, RateModel(background_lifetime=5.0)),

@@ -198,10 +198,15 @@ def test_linear_fit_does_not_depend_on_memory_layout():
 
 
 def test_linear_fit_degenerate_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputDataError, match="zero variance"):
         fit_linear(SampleSeries([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         fit_linear(SampleSeries([1.0, 2.0], [1.0, 2.0]))
+
+
+def test_sample_series_refuses_a_zero_sigma():
+    with pytest.raises(InputDataError, match="must be positive"):
+        SampleSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [0.1, 0.0, 0.1])
 
 
 # ------------------------------------------------------- density image
@@ -214,23 +219,47 @@ def reference_cloud(cr):
     return fld, mu, b_shape, g_shape
 
 
-def test_projection_formula_matches_numeric_integral(cr):
-    # the Bessel-kernel column density must equal the line-of-sight
-    # integral of the raw 3-D profile
+def raw_profile(n0, b_shape, g_shape, x, y, z):
+    """The 3-D trapped-cloud density, written out here for the oracles."""
+    r = math.sqrt(x * x + y * y + 4 * z * z)
+    return n0 * math.exp(-b_shape * r - g_shape * y)
+
+
+@pytest.mark.parametrize("axes", [("y", "x"), ("y", "z")],
+                         ids=["y-x", "y-z"])
+def test_projection_formula_matches_numeric_integral(cr, axes):
+    # the Bessel-kernel column density must equal the integral of the raw
+    # 3-D profile along the axis the image does not contain
     _, _, b_shape, g_shape = reference_cloud(cr)
     image = render_density_image(1e16, b_shape, g_shape, pitch=2e-4,
-                                 shape=(5, 5))
+                                 shape=(5, 5), axes=axes)
     c0, c1 = image.coordinates()
     for i, j in ((2, 2), (0, 1), (4, 3), (1, 4)):
-        y, x = c0[i, j], c1[i, j]
+        y, c = c0[i, j], c1[i, j]
 
-        def integrand(z):
-            r = math.sqrt(x * x + y * y + 4 * z * z)
-            return 1e16 * math.exp(-b_shape * r - g_shape * y)
+        def integrand(s):
+            point = {"x": c, "z": s} if axes[1] == "x" else {"x": s, "z": c}
+            return raw_profile(1e16, b_shape, g_shape, y=y, **point)
 
         expected, _ = integrate.quad(integrand, -np.inf, np.inf,
                                      epsabs=1.0, epsrel=1e-10)
         assert image.values[i, j] == pytest.approx(expected, rel=1e-8)
+
+
+@pytest.mark.parametrize("axes", [("y", "x"), ("y", "z")],
+                         ids=["y-x", "y-z"])
+def test_slice_formula_matches_profile_on_its_plane(cr, axes):
+    # a (y, x) slice is the z = 0 plane of the raw 3-D profile, a (y, z)
+    # slice the x = 0 plane
+    _, _, b_shape, g_shape = reference_cloud(cr)
+    image = render_density_image(1e16, b_shape, g_shape, pitch=2e-4,
+                                 shape=(5, 5), axes=axes, mode="slice")
+    c0, c1 = image.coordinates()
+    for i, j in ((2, 2), (0, 1), (4, 3), (1, 4), (0, 2), (4, 2)):
+        y, c = c0[i, j], c1[i, j]
+        point = {"x": c, "z": 0.0} if axes[1] == "x" else {"x": 0.0, "z": c}
+        expected = raw_profile(1e16, b_shape, g_shape, y=y, **point)
+        assert image.values[i, j] == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("axes,mode", [

@@ -113,6 +113,11 @@ def test_figure4_trap_colder_than_reservoir():
     t_mot = parsed.column("T_MOT")
     t_th = parsed.column("T_MT_th")
     t_mc = parsed.column("T_MT_mc")
+    # the configured law, in K from its uK coefficients
+    offset = sc["figure4.tmot_offset_uK"]
+    slope_uk = sc["figure4.tmot_slope_uK"]
+    assert t_mot.tolist() == [(offset + slope_uk * shift) * 1e-6
+                              for shift in sc["figure4.lightshift"]]
     assert np.all(t_th < t_mot)
     # analytic prediction is linear in T_MOT with slope 1/3
     slope = np.polyfit(t_mot, t_th, 1)[0]
