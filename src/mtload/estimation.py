@@ -496,7 +496,8 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     (t0_sensitivity), or carry ``beta_consistent_with_zero = True`` when
     beta is not at least twice its stderr. Every density sample must be
     positive: the first that is not raises InputDataError naming its data
-    row.
+    row. A w(t) that underflows to 0 raises ValueError naming t0 and the
+    first such row.
     """
     density_series.require_time_axis()
     if t0 <= 0:
@@ -518,6 +519,10 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
 
     def solve(t0_value: float):
         w, integral = _decay_solution(t, t0_value, alpha)
+        if w[-1] == 0.0:  # w falls with t, so it is smallest last
+            row = int(np.argmax(w == 0.0))
+            raise ValueError(f"the decay solution w(t) underflows to 0 at "
+                             f"t0 = {t0_value!r} s in data row {row + 1}")
         z = w / y
         design = np.column_stack([np.ones_like(z), integral])
         z_hat = design @ _weighted_line(design, z, 1.0 / z ** 2)[0]

@@ -7,6 +7,7 @@ includes one). All derived intermediate quantities are recorded as notes
 so an output file documents how it was produced.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +39,9 @@ class LoadingContext:
 def loading_context(sc: Scenario,
                     n_mot: float | None = None) -> LoadingContext:
     """Compose excitation, cloud geometry, and collision kinematics into
-    the loading rate R and total decay rate Gamma for one configuration."""
+    the loading rate R and total decay rate Gamma for one configuration.
+    Raises ValueError naming the first of n_e, Gamma and R that is not
+    finite."""
     species = sc.species()
     mot = sc.mot_cloud()
     if n_mot is None:
@@ -55,6 +58,10 @@ def loading_context(sc: Scenario,
         n_e, sigma_eff, v_bar, sc["rates.mot_on_background_rate_per_s"])
     rate = excitation.transfer_rate(n_mot, p_e, species,
                                     sc["transfer.efficiency"])
+    for name, value in (("n_e", n_e), ("Gamma", gamma_total), ("R", rate)):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite {name} = {format_number(value)} "
+                             "in the loading context")
     return LoadingContext(
         p_e=p_e, t_mt=t_mt, shape_b=shape_b, volume=volume, n_e=n_e,
         v_bar=v_bar, gamma_total=gamma_total, rate=rate,

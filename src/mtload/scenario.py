@@ -18,7 +18,7 @@ from .constants import MU_B
 from .errors import ConfigError
 from .excitation import LightField
 from .species import SpeciesData, chromium52
-from .tables import format_number, read_text, text_sha256
+from .tables import format_number, read_text
 
 _FLOAT = "float"
 _INT = "int"
@@ -147,9 +147,6 @@ class Scenario:
         lines = [f"{key} = {_format_value(self.values[key])}"
                  for key in sorted(self.values)]
         return "\n".join(lines) + "\n"
-
-    def sha256(self) -> str:
-        return text_sha256(self.canonical_text())
 
     def with_seed(self, seed: int) -> "Scenario":
         _check("seed", seed)

@@ -175,7 +175,7 @@ def test_criterion_7_volume_and_overlap():
                       "three decades; overlap(0.25) inside [0.5, 0.8]"):
         for b_shape in (500.0, 2000.0, 8000.0):
             assert effective_volume(b_shape, 0.0) == pytest.approx(
-                4 * math.pi / b_shape ** 3, rel=1e-4)
+                4 * math.pi / b_shape ** 3, rel=1e-4, abs=0.0)
         f = overlap_correction(0.25)
         assert 0.5 <= f <= 0.8
 

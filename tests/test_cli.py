@@ -31,18 +31,6 @@ def run_to_file(tmp_path, args, name="out.csv"):
     return code, out
 
 
-@pytest.mark.parametrize("command", cli.SIMULATIONS)
-def test_byte_identical_reruns(tmp_path, small_scenario, command):
-    code1, out1 = run_to_file(
-        tmp_path, [command, "--scenario", small_scenario, "--seed", "5"],
-        "a.csv")
-    code2, out2 = run_to_file(
-        tmp_path, [command, "--scenario", small_scenario, "--seed", "5"],
-        "b.csv")
-    assert code1 == 0 and code2 == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_simulate_decay_writes_decay_samples_rows(tmp_path):
     # t_end / (samples - 1) rounds so that t_end over it exceeds 49
     cfg = tmp_path / "decay.cfg"
@@ -99,36 +87,6 @@ def test_seed_recorded_in_output(tmp_path, small_scenario):
     assert "scenario-sha256" in meta
 
 
-def test_config_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("no.such.key = 1\n", encoding="utf-8")
-    assert main(["simulate-loading", "--scenario", str(bad)]) == 2
-
-
-def test_subnormal_initial_density_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "subnormal.cfg"
-    cfg.write_text("decay.initial_density_m3 = 1e-310\n", encoding="utf-8")
-    assert main(["simulate-decay", "--scenario", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "decay.initial_density_m3" in err
-
-
-@pytest.mark.parametrize("line,key", [
-    ("sim.t_end_s = inf", "sim.t_end_s"),
-    ("mot.atom_number = inf", "mot.atom_number"),
-    ("noise.sigma_rel = inf", "noise.sigma_rel"),
-    ("mt.temperature_uK = nan", "mt.temperature_uK"),
-    ("figure4.lightshift = 3.0, nan, 9.0", "figure4.lightshift"),
-])
-def test_non_finite_scenario_value_is_config_error(tmp_path, capsys, line,
-                                                   key):
-    cfg = tmp_path / "non_finite.cfg"
-    cfg.write_text(line + "\n", encoding="utf-8")
-    assert main(["simulate-loading", "--scenario", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and key in err and "finite" in err
-
-
 @pytest.mark.parametrize("command, code", [
     (name, 2 if name in ("figure2", "figure3") else 0)
     for name in cli.SIMULATIONS])
@@ -151,27 +109,46 @@ def test_negative_seed_is_config_error(capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_numeric_error_exit_code(tmp_path):
-    cfg = tmp_path / "untrapped.cfg"
-    cfg.write_text("trap.gradient_G_per_cm = 0.05\n", encoding="utf-8")
-    assert main(["simulate-loading", "--scenario", str(cfg)]) == 3
-
-
-@pytest.mark.parametrize("line", ["mot.sigma_um = 1e100",
-                                  "mot.temperature_uK = 1e300",
-                                  "mt.temperature_uK = 1e300"])
-@pytest.mark.parametrize("command", ["simulate-loading", "simulate-decay",
-                                     "figure3"])
-def test_underflowing_volume_is_numeric_failure(tmp_path, capsys, line,
-                                                command):
+# a scenario line, the command run on it, its exit code and the phrases
+# its stderr holds
+SCENARIO_FAILURES = [
+    ("no.such.key = 1", "simulate-loading", 2,
+     ["config error", "unknown key 'no.such.key'"]),
+    ("decay.initial_density_m3 = 1e-310", "simulate-decay", 2,
+     ["config error", "decay.initial_density_m3"]),
+    *((line, "simulate-loading", 2,
+       ["config error", line.split(" = ")[0], "finite"])
+      for line in ("sim.t_end_s = inf", "mot.atom_number = inf",
+                   "noise.sigma_rel = inf", "mt.temperature_uK = nan",
+                   "figure4.lightshift = 3.0, nan, 9.0")),
+    ("trap.gradient_G_per_cm = 0.05", "simulate-loading", 3,
+     ["numeric failure", "the cloud is untrapped"]),
     # values inside their keys' domains that leave shape_b so small that
     # the effective volume's denominator underflows to 0
-    cfg = tmp_path / "huge.cfg"
+    *((line, command, 3,
+       ["numeric failure", "underflows to 0 at shape_b="])
+      for line in ("mot.sigma_um = 1e100", "mot.temperature_uK = 1e300",
+                   "mt.temperature_uK = 1e300")
+      for command in ("simulate-loading", "simulate-decay", "figure3")),
+    # an atom number inside its domain that makes n_e, Gamma and R infinite
+    *(("mot.atom_number = 1e308", command, 3,
+       ["numeric failure", "non-finite n_e = inf"])
+      for command in ("simulate-loading", "simulate-decay")),
+]
+
+
+@pytest.mark.parametrize("line, command, code, phrases", [
+    pytest.param(*row, id=f"{row[1]}-{row[0]}") for row in SCENARIO_FAILURES])
+def test_scenario_failure_exit_code(tmp_path, capsys, line, command, code,
+                                    phrases):
+    cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n", encoding="utf-8")
-    assert main([command, "--scenario", str(cfg)]) == 3
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", str(cfg), "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert err.startswith("mtload: numeric failure: ")
-    assert "underflows to 0 at shape_b=" in err
+    assert err.startswith("mtload: ")
+    assert all(phrase in err for phrase in phrases), err
+    assert not out.exists()
 
 
 def test_io_error_exit_code():
@@ -349,6 +326,24 @@ def test_fit_two_body_round_trip(tmp_path, small_scenario):
     assert "volume_alpha_clamped" not in text
 
 
+def test_fit_two_body_at_subnormal_lifetime_is_numeric_failure(tmp_path,
+                                                               capsys):
+    # at t0 = 5e-324 the decay solution's w(t) is 0 after the first
+    # sample, so w/n leaves nothing to weigh: refused before any solve,
+    # with no RuntimeWarning (which pytest turns into an error)
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("rates.background_lifetime_s = 5e-324\n", encoding="utf-8")
+    _, data = run_to_file(tmp_path, ["simulate-decay"], "decay.csv")
+    code, out = run_to_file(
+        tmp_path, ["fit", "two-body", str(data), "--scenario", str(cfg)],
+        "fit.csv")
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "mtload: numeric failure: the decay solution w(t) underflows to 0 "
+        "at t0 = 5e-324 s in data row 2\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", [3, 4, 6, 7])
 def test_fit_two_body_without_two_body_loss(tmp_path, seed):
     # beta = 0 with 1% noise: the fit reports an unconstrained beta, of
@@ -405,7 +400,8 @@ def test_fit_density_image_cli(tmp_path, cr):
     t_line = [l for l in text.splitlines() if l.startswith("temperature,")][0]
     assert float(t_line.split(",")[1]) == pytest.approx(100e-6, rel=0.10)
     mu_line = [l for l in text.splitlines() if l.startswith("mu_bar,")][0]
-    assert float(mu_line.split(",")[1]) == pytest.approx(6 * MU_B, rel=0.10)
+    assert float(mu_line.split(",")[1]) == pytest.approx(6 * MU_B, rel=0.10,
+                                                         abs=0.0)
 
 
 def test_fit_density_image_slice_mode_from_file(tmp_path, cr):
@@ -432,7 +428,7 @@ def test_fit_density_image_slice_mode_from_file(tmp_path, cr):
     assert float(t_line.split(",")[1]) == pytest.approx(120e-6, rel=1e-4)
     mu_line = [l for l in text.splitlines() if l.startswith("mu_bar,")][0]
     assert float(mu_line.split(",")[1]) == pytest.approx(4.5 * MU_B,
-                                                         rel=1e-4)
+                                                         rel=1e-4, abs=0.0)
 
 
 def test_fit_missing_column_is_config_error(tmp_path):
@@ -599,7 +595,7 @@ def test_fit_linear_from_figure3_output(tmp_path, small_scenario):
     text = fit_out.read_text(encoding="utf-8")
     slope = float([l for l in text.splitlines()
                    if l.startswith("slope,")][0].split(",")[1])
-    assert slope == pytest.approx(1e-15, rel=1e-6)
+    assert slope == pytest.approx(1e-15, rel=1e-6, abs=0.0)
 
 
 def test_fit_linear_weighs_by_a_y_sigma_column(tmp_path):
@@ -644,7 +640,7 @@ def test_fit_two_body_with_shrinking_volume(tmp_path):
             for line in text.splitlines() if not line.startswith("#")}
     assert rows["volume_alpha"][0] == "0.0"
     assert "# note volume_alpha_clamped = True\n" in text
-    assert float(rows["beta"][0]) == pytest.approx(7e-17, rel=1e-6)
+    assert float(rows["beta"][0]) == pytest.approx(7e-17, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))

@@ -57,7 +57,7 @@ def test_mu_bar_recovery_identity(cr, rng):
         fld = QuadrupoleField(grad)
         b_shape, g_shape = shape_params(t, mu, fld, cr)
         recovered = 2 * cr.mass * G_ACCEL * b_shape / (grad * g_shape)
-        assert recovered == pytest.approx(mu, rel=1e-12)
+        assert recovered == pytest.approx(mu, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------- density
@@ -84,10 +84,10 @@ def test_density_one_over_e_radius(cr, field):
     t, mu = 100e-6, 6 * MU_B
     b_shape, g_shape = shape_params(t, mu, field, cr)
     x = 2.0 * K_B * t / (mu * field.gradient)
-    assert 1.0 / b_shape == pytest.approx(x, rel=1e-14)
+    assert 1.0 / b_shape == pytest.approx(x, rel=1e-14, abs=0.0)
     # radial direction is unaffected by the sag term
     assert relative_density((x, 0.0, 0.0), b_shape, g_shape) == \
-        pytest.approx(math.exp(-1.0), rel=1e-12)
+        pytest.approx(math.exp(-1.0), rel=1e-12, abs=0.0)
 
 
 def test_density_symmetry_and_sag(cr, field):
@@ -132,7 +132,8 @@ def test_density_integrates_to_atom_number(cr, field):
 def test_volume_matches_analytic_at_zero_sag(b_shape):
     # spans three decades of cloud size
     expected = 4.0 * math.pi / b_shape ** 3
-    assert effective_volume(b_shape, 0.0) == pytest.approx(expected, rel=1e-4)
+    assert effective_volume(b_shape, 0.0) == pytest.approx(expected, rel=1e-4,
+                                                           abs=0.0)
 
 
 @pytest.mark.parametrize("b_shape,g_shape", [
@@ -141,7 +142,7 @@ def test_volume_matches_analytic_at_zero_sag(b_shape):
 ])
 def test_volume_matches_closed_form_with_sag(b_shape, g_shape):
     assert effective_volume(b_shape, g_shape) == pytest.approx(
-        radial_quadrature_volume(b_shape, g_shape), rel=1e-9)
+        radial_quadrature_volume(b_shape, g_shape), rel=1e-9, abs=0.0)
 
 
 def test_volume_monotone_in_sag():
@@ -159,7 +160,7 @@ def test_volume_dilation_scaling():
     # B -> k B at fixed G/B ratio scales V by k^-3
     v1 = effective_volume(1000.0, 400.0)
     v2 = effective_volume(3000.0, 1200.0)
-    assert v2 == pytest.approx(v1 / 27.0, rel=1e-8)
+    assert v2 == pytest.approx(v1 / 27.0, rel=1e-8, abs=0.0)
 
 
 def test_volume_untrapped_guard():
@@ -185,14 +186,14 @@ def test_volume_with_underflowing_denominator_is_refused(b_shape, g_shape):
 
 def test_phase_space_density_reference(cr):
     psd = phase_space_density(1e16, 50e-6, cr)
-    assert psd == pytest.approx(4.0205497637166924e-07, rel=1e-9)
+    assert psd == pytest.approx(4.0205497637166924e-07, rel=1e-9, abs=0.0)
     assert 3.5e-7 <= psd <= 4.5e-7  # clears the 1e-7 scale comfortably
 
 
 def test_phase_space_density_scalings(cr):
     psd = phase_space_density(1e16, 100e-6, cr)
     colder = phase_space_density(1e16, 50e-6, cr)
-    assert colder == pytest.approx(psd * 2 ** 1.5, rel=1e-12)
+    assert colder == pytest.approx(psd * 2 ** 1.5, rel=1e-12, abs=0.0)
     assert phase_space_density(0.0, 50e-6, cr) == 0.0
 
 
@@ -202,7 +203,7 @@ def test_phase_space_density_scalings(cr):
 def test_point_transfer_limit(cr, field):
     mot = MotCloud(size_sigma=0.0, temperature=300e-6, atom_number=1e7)
     assert predict_mt_temperature(mot, field, 6 * MU_B) == pytest.approx(
-        100e-6, rel=1e-14)
+        100e-6, rel=1e-14, abs=0.0)
 
 
 def test_transfer_temperature_reference(cr):
@@ -210,7 +211,7 @@ def test_transfer_temperature_reference(cr):
     fld = QuadrupoleField(0.2)
     t = predict_mt_temperature(mot, fld, 6 * MU_B)
     delta = t - 100e-6
-    assert delta == pytest.approx(5.716800882835628e-05, rel=1e-12)
+    assert delta == pytest.approx(5.716800882835628e-05, rel=1e-12, abs=0.0)
     assert delta == pytest.approx(57e-6, rel=0.02)
 
 
@@ -224,15 +225,15 @@ def test_transfer_temperature_linearities(cr):
 
     # slope 1/3 in T_MOT at fixed size term
     d = tmt(t_mot=400e-6) - tmt(t_mot=300e-6)
-    assert d == pytest.approx(100e-6 / 3, rel=1e-12)
+    assert d == pytest.approx(100e-6 / 3, rel=1e-12, abs=0.0)
     # linear in gradient, size, and moment
     base = tmt() - tmt(sigma=0.0)
     assert tmt(grad=0.4) - tmt(sigma=0.0, grad=0.4) == pytest.approx(
-        2 * base, rel=1e-12)
+        2 * base, rel=1e-12, abs=0.0)
     assert tmt(sigma=400e-6) - tmt(sigma=0.0) == pytest.approx(
-        2 * base, rel=1e-12)
+        2 * base, rel=1e-12, abs=0.0)
     assert tmt(mu_bar=3 * MU_B) - tmt(sigma=0.0, mu_bar=3 * MU_B) == \
-        pytest.approx(base / 2, rel=1e-12)
+        pytest.approx(base / 2, rel=1e-12, abs=0.0)
 
 
 def test_prefactor_identity():

@@ -43,7 +43,7 @@ def test_gauss_rule_is_leggauss():
 
 def test_velocity_reference_value(cr):
     v = mean_collision_velocity(300e-6, 100e-6, cr)
-    assert v == pytest.approx(0.403797900333598, rel=1e-12)
+    assert v == pytest.approx(0.403797900333598, rel=1e-12, abs=0.0)
 
 
 def test_velocity_symmetry_and_scaling(cr):
@@ -51,7 +51,7 @@ def test_velocity_symmetry_and_scaling(cr):
         mean_collision_velocity(100e-6, 300e-6, cr)
     v = mean_collision_velocity(300e-6, 100e-6, cr)
     assert mean_collision_velocity(1200e-6, 400e-6, cr) == pytest.approx(
-        2 * v, rel=1e-12)
+        2 * v, rel=1e-12, abs=0.0)
 
 
 def test_velocity_single_species_limit(cr):
@@ -59,7 +59,7 @@ def test_velocity_single_species_limit(cr):
     t = 200e-6
     expected = math.sqrt(8 * K_B * t / (math.pi * cr.mass))
     assert mean_collision_velocity(t, 0.0, cr) == pytest.approx(
-        expected, rel=1e-12)
+        expected, rel=1e-12, abs=0.0)
 
 
 def test_velocity_rejects_both_zero(cr):
@@ -116,13 +116,13 @@ def test_overlap_domain():
 def test_cross_section_from_beta(cr):
     v_mt = mean_collision_velocity(100e-6, 100e-6, cr)
     sigma = cross_section_from_beta(7e-17, v_mt)
-    assert sigma == pytest.approx(7e-17 / v_mt, rel=1e-15)
+    assert sigma == pytest.approx(7e-17 / v_mt, rel=1e-15, abs=0.0)
     # lands about half an order of magnitude below the reservoir-trap
     # cross-section scale of 1e-15 m^2
     assert 1e-16 < sigma < 1e-15
     assert cross_section_from_beta(0.0, 0.2) == 0.0
     assert cross_section_from_beta(7e-17, 0.4) == pytest.approx(
-        cross_section_from_beta(7e-17, 0.2) / 2, rel=1e-15)
+        cross_section_from_beta(7e-17, 0.2) / 2, rel=1e-15, abs=0.0)
     with pytest.raises(ValueError):
         cross_section_from_beta(7e-17, 0.0)
 

@@ -95,59 +95,6 @@ def test_mot_on_decay_rate_examples():
 # ------------------------------------------------------------- decay
 
 
-def test_pure_exponential_decay():
-    model = RateModel(background_lifetime=20.0)
-    traj = integrate_mt_decay(1e16, model, 60.0, 0.5)
-    expected = 1e16 * np.exp(-traj.times / 20.0)
-    np.testing.assert_allclose(traj.peak_density, expected, rtol=1e-6)
-
-
-def test_pure_two_body_decay():
-    beta, n0 = 7e-17, 1e16
-    model = RateModel(two_body_coeff=beta)
-    # initial loss rate beta*n0 = 0.7/s; integrate over 3 of those times
-    t_char = 1.0 / (beta * n0)
-    traj = integrate_mt_decay(n0, model, 3 * t_char, t_char / 50)
-    expected = n0 / (1.0 + beta * n0 * traj.times)
-    np.testing.assert_allclose(traj.peak_density, expected, rtol=1e-6)
-    assert beta * n0 == pytest.approx(0.7, rel=1e-12)
-
-
-def test_pure_dilution_conserves_atom_number():
-    model = RateModel(initial_volume=2e-9, volume_growth_rate=0.3)
-    traj = integrate_mt_decay(1e16, model, 30.0, 0.25)
-    np.testing.assert_allclose(traj.atom_number, traj.atom_number[0],
-                               rtol=1e-9)
-    # density falls as 1/(1 + alpha t)
-    expected = 1e16 / (1.0 + 0.3 * traj.times)
-    np.testing.assert_allclose(traj.peak_density, expected, rtol=1e-9)
-
-
-def test_full_equation_against_closed_form():
-    n0, t0, beta, alpha = 1e16, 60.0, 7e-17, 0.1
-    model = RateModel(background_lifetime=t0, two_body_coeff=beta,
-                      initial_volume=1.4e-9, volume_growth_rate=alpha)
-    traj = integrate_mt_decay(n0, model, 10.0, 0.1)
-    expected = closed_form_decay(traj.times, n0, t0, beta, alpha)
-    np.testing.assert_allclose(traj.peak_density, expected, rtol=1e-7)
-
-
-def test_dt_hint_consistency():
-    model = RateModel(background_lifetime=60.0, two_body_coeff=7e-17,
-                      initial_volume=1.4e-9, volume_growth_rate=0.1)
-    coarse = integrate_mt_decay(1e16, model, 10.0, 0.5)
-    fine = integrate_mt_decay(1e16, model, 10.0, 0.25)
-    np.testing.assert_allclose(coarse.peak_density,
-                               fine.peak_density[::2], rtol=1e-6)
-
-
-def test_decay_density_at_arbitrary_grid():
-    times = np.array([0.0, 0.3, 1.7, 4.0])
-    model = RateModel(background_lifetime=5.0)
-    n = decay_density_at(times, 1e15, model)
-    np.testing.assert_allclose(n, 1e15 * np.exp(-times / 5.0), rtol=1e-8)
-
-
 @st.composite
 def decay_cases(draw):
     """(n0, t0, beta, alpha, times): t0 may be inf, beta and alpha may be

@@ -18,7 +18,7 @@ def test_no_light_no_excitation(cr):
 def test_excited_fraction_at_operating_point(cr):
     # 15 I_s per beam, six beams, two linewidths red: s = 90/(7/3)
     p = excitation_probability(operating_light(cr), cr)
-    assert p == pytest.approx(0.34704370179948585, rel=1e-12)
+    assert p == pytest.approx(0.34704370179948585, rel=1e-12, abs=0.0)
     assert p == pytest.approx(0.347, abs=5e-4)
 
 
@@ -74,7 +74,8 @@ def test_efficiency_round_trip(cr, rng):
         n = float(rng.uniform(1e5, 1e8))
         p = float(rng.uniform(0.01, 0.49))
         r = transfer_rate(n, p, cr, eta)
-        assert efficiency_from_rate(r, n, p, cr) == pytest.approx(eta, rel=1e-12)
+        assert efficiency_from_rate(r, n, p, cr) == pytest.approx(
+            eta, rel=1e-12, abs=0.0)
 
 
 def test_efficiency_zero_rate(cr):

@@ -13,7 +13,7 @@ from scipy import stats
 from mc_oracle import (Ensemble, ensemble_energies, oracle_transfer,
                        sample_mot_atoms, sample_zeeman_substates)
 from mtload import (MotCloud, PumpingDistribution, QuadrupoleField,
-                    predict_mt_temperature, simulate_transfer)
+                    simulate_transfer)
 from mtload.constants import K_B, MU_B
 from mtload.mc import ZEEMAN_M_VALUES, seed_stream
 
@@ -72,7 +72,8 @@ def test_point_distribution_always_hits():
 
 def test_uniform_distribution_trapped_fraction():
     dist = PumpingDistribution.uniform()
-    assert sum(dist.probabilities[5:]) == pytest.approx(4 / 9, rel=1e-12)
+    assert sum(dist.probabilities[5:]) == pytest.approx(4 / 9, rel=1e-12,
+                                                        abs=0.0)
     draws = sample_zeeman_substates(dist, 90_000, seed_stream(17, "uni"))
     frac = np.mean(draws > 0)
     # multinomial error bound: 3 sigma of a Bernoulli(4/9) mean
@@ -199,15 +200,17 @@ def test_audit_at_origin(cr, field):
     kinetic, potential = ensemble_energies(
         one_atom((0.0, 0.0, 0.0), (0.1, 0.0, 0.0)), field, cr)
     assert potential[0] == 0.0
-    assert kinetic[0] == pytest.approx(0.5 * cr.mass * 0.01, rel=1e-12)
+    assert kinetic[0] == pytest.approx(0.5 * cr.mass * 0.01, rel=1e-12,
+                                       abs=0.0)
 
 
 def test_audit_reference_value(cr):
     # g_d m_d = 6, b = 0.2 T/m, |r| = 100 um
     _, potential = ensemble_energies(one_atom((1e-4, 0.0, 0.0)),
                                      QuadrupoleField(0.2), cr)
-    assert potential[0] == pytest.approx(6 * MU_B * 0.2 * 1e-4, rel=1e-12)
-    assert potential[0] == pytest.approx(1.11e-27, rel=5e-3)
+    assert potential[0] == pytest.approx(6 * MU_B * 0.2 * 1e-4, rel=1e-12,
+                                         abs=0.0)
+    assert potential[0] == pytest.approx(1.11e-27, rel=5e-3, abs=0.0)
 
 
 def test_audit_linearity(cr):
@@ -216,13 +219,13 @@ def test_audit_linearity(cr):
                                  QuadrupoleField(grad), cr)[1][0]
 
     base = pot(1e-4, 2, 0.1)
-    assert pot(2e-4, 2, 0.1) == pytest.approx(2 * base, rel=1e-12)
-    assert pot(1e-4, 4, 0.1) == pytest.approx(2 * base, rel=1e-12)
-    assert pot(1e-4, 2, 0.2) == pytest.approx(2 * base, rel=1e-12)
+    assert pot(2e-4, 2, 0.1) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
+    assert pot(1e-4, 4, 0.1) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
+    assert pot(1e-4, 2, 0.2) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
     # isotropic |r| convention: the coil axis is not weighted
     assert ensemble_energies(one_atom((0.0, 0.0, 1e-4), m=2),
                              QuadrupoleField(0.1), cr)[1][0] == \
-        pytest.approx(base, rel=1e-12)
+        pytest.approx(base, rel=1e-12, abs=0.0)
 
 
 def test_audit_rejects_untrapped(cr, field):
@@ -234,12 +237,6 @@ def test_audit_rejects_untrapped(cr, field):
 
 
 # -------------------------------------------------- virial equilibrium
-
-
-def test_point_transfer_recovers_third_of_reservoir_temperature(cr, field):
-    report = simulate_transfer(mot(sigma=0.0), PumpingDistribution.point(4),
-                               field, cr, 200_000, seed_stream(19, "third"))
-    assert report.temperature_mc == pytest.approx(100e-6, rel=0.01)
 
 
 def test_energy_scaling_linearity(cr, field):
@@ -271,38 +268,11 @@ def test_equilibrium_rejects_bad_ensembles(cr, field):
                           seed_stream(26, "one"))
 
 
-@pytest.mark.parametrize("sigma", [0.0, 100e-6, 200e-6])
-@pytest.mark.parametrize("gradient", [0.1, 0.2])
-@pytest.mark.parametrize("mean_m", [3, 4])
-def test_transfer_oracle_matches_prediction(cr, sigma, gradient, mean_m):
-    fld = QuadrupoleField(gradient)
-    cloud = mot(sigma=sigma)
-    mu_bar = cr.lande_g_d * mean_m * MU_B
-    expected = predict_mt_temperature(cloud, fld, mu_bar)
-    report = simulate_transfer(cloud, PumpingDistribution.point(mean_m),
-                               fld, cr, 100_000,
-                               seed_stream(21, f"or-{sigma}-{gradient}-{mean_m}"))
-    assert abs(report.temperature_mc / expected - 1.0) < 0.02
-    if sigma == 0.0:
-        # statistical consistency with the exact T/3 limit
-        diff = abs(report.temperature_mc - expected)
-        assert diff < 3 * report.temperature_stderr
-
-
-def test_transfer_mean_radius_within_three_sigma(cr, field):
-    report = simulate_transfer(mot(), PumpingDistribution.point(4), field,
-                               cr, 100_000, seed_stream(22, "radius"))
-    diff = abs(report.mean_radius - report.mean_radius_expected)
-    assert diff < 3 * report.mean_radius_stderr
-
-
 def test_transfer_uniform_pumping_trapped_fraction(cr, field):
     report = simulate_transfer(mot(), PumpingDistribution.uniform(), field,
                                cr, 90_000, seed_stream(23, "frac"))
     assert report.trapped / report.particles == pytest.approx(4 / 9,
                                                               abs=0.01)
-
-
 
 
 def test_transfer_deterministic(cr, field):
@@ -352,7 +322,7 @@ def test_transfer_matches_ensemble_oracle(cr, field, dist, sigma, seed):
                                              cr, 400_000, seed)
     for err in ("temperature_stderr", "mean_radius_stderr"):
         assert getattr(report, err) == pytest.approx(expected[err],
-                                                     rel=0.02), err
+                                                     rel=0.02, abs=0.0), err
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -376,23 +346,6 @@ def test_transfer_stderrs_match_exact_moments(cr, field, m, sigma, seed):
         abs=0.0)
     assert report.mean_radius_stderr == pytest.approx(
         math.sqrt(var_radius / n), rel=0.01, abs=0.0)
-
-
-@pytest.mark.parametrize("dist, count", [
-    pytest.param(dist, count, id=f"{name}-{count}")
-    for name, dist, counts in (
-        ("uniform", PumpingDistribution.uniform(),
-         (65535, 65536, 65537, 131079)),
-        ("m4", PumpingDistribution.point(4),
-         (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7,
-          65535, 65536, 65537, 131079,
-          2**17 - 1, 2**17, 2**17 + 1, 2 * 2**17 + 7)))
-    for count in counts])
-def test_transfer_matches_oracle_across_chunks(cr, field, dist, count):
-    # every atom of point(4) is trapped, so its counts sit at, beside and
-    # past the 2**14-atom block edges, and 2 * BLOCK + 7 makes three
-    # blocks; the 2**16 and 2**17 edges of earlier samplers stay covered
-    assert_matches_oracle(mot(), dist, field, cr, count, 5)
 
 
 @settings(max_examples=30, deadline=None)

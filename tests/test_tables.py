@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mtload import ConfigError
 from mtload.scenario import parse_scenario
 from mtload.tables import (ResultTable, format_number, parse_csv,
-                           provenance_header)
+                           provenance_header, text_sha256)
 
 
 def sample_table():
@@ -72,7 +72,8 @@ def test_embedded_scenario_reproduces():
     sc = parse_scenario("\n".join(value for key, value in parsed.provenance
                                    if key == "scenario"))
     assert sc.seed == 7
-    assert sc.sha256() == dict(parsed.provenance)["scenario-sha256"]
+    assert (text_sha256(sc.canonical_text())
+            == dict(parsed.provenance)["scenario-sha256"])
 
 
 def test_rectangularity_enforced():
