@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .constants import G_ACCEL, K_B, H_PLANCK
-from .errors import UntrappedCloudError
+from .errors import NONNEGATIVE, POSITIVE, UntrappedCloudError, require
 from .species import SpeciesData
 
 # prefactor of the finite-reservoir-size term in the transfer-temperature
@@ -31,8 +31,7 @@ class QuadrupoleField:
     gradient: float  # T/m
 
     def __post_init__(self):
-        if self.gradient <= 0:
-            raise ValueError("gradient must be positive")
+        require("gradient", self.gradient, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -46,12 +45,9 @@ class MotCloud:
     atom_number: float    # count
 
     def __post_init__(self):
-        if self.size_sigma < 0:
-            raise ValueError("size_sigma must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.atom_number <= 0:
-            raise ValueError("atom_number must be positive")
+        require("size_sigma", self.size_sigma, NONNEGATIVE)
+        require("temperature", self.temperature, POSITIVE)
+        require("atom_number", self.atom_number, POSITIVE)
 
 
 def shape_params(temperature: float, mu_bar: float, field: QuadrupoleField,
@@ -61,8 +57,7 @@ def shape_params(temperature: float, mu_bar: float, field: QuadrupoleField,
     B = mu_bar * b / (2 k_B T),  G = m g / (k_B T). Both scale as 1/T, so
     B/G is a thermometry-free measure of mu_bar.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    require("temperature", temperature, POSITIVE)
     kt = K_B * temperature
     b_shape = mu_bar * field.gradient / (2.0 * kt)
     g_shape = species.mass * G_ACCEL / kt
@@ -82,10 +77,8 @@ def effective_volume(shape_b: float, shape_g: float) -> float:
     while the magnetic confinement beats gravity along -y, i.e. G < B;
     at G >= B the integrand grows without bound and no volume exists.
     """
-    if shape_b <= 0:
-        raise ValueError("shape_b must be positive")
-    if shape_g < 0:
-        raise ValueError("shape_g must be >= 0")
+    require("shape_b", shape_b, POSITIVE)
+    require("shape_g", shape_g, NONNEGATIVE)
     if shape_g >= shape_b:
         raise UntrappedCloudError(
             f"gravity overwhelms confinement (shape_g={shape_g:g} >= "
@@ -102,10 +95,8 @@ def effective_volume(shape_b: float, shape_g: float) -> float:
 def phase_space_density(peak_density: float, temperature: float,
                         species: SpeciesData) -> float:
     """Peak density times the cubed thermal de Broglie wavelength."""
-    if peak_density < 0:
-        raise ValueError("peak_density must be >= 0")
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    require("peak_density", peak_density, NONNEGATIVE)
+    require("temperature", temperature, POSITIVE)
     lam = H_PLANCK / math.sqrt(2.0 * math.pi * species.mass * K_B * temperature)
     return peak_density * lam ** 3
 

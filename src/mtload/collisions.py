@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .constants import K_B
+from .errors import NONNEGATIVE, POSITIVE, POSITIVE_FRACTION, require
 from .species import SpeciesData
 
 # fixed 32-node Gauss-Legendre rule on [-1, 1], shared with the decay
@@ -47,8 +48,8 @@ def mean_collision_velocity(t_mot: float, t_mt: float,
 
     v = sqrt((T_MOT + T_MT) * 8 k_B / (pi m)).
     """
-    if t_mot < 0 or t_mt < 0:
-        raise ValueError("temperatures must be >= 0")
+    require("t_mot", t_mot, NONNEGATIVE)
+    require("t_mt", t_mt, NONNEGATIVE)
     if t_mot == 0 and t_mt == 0:
         raise ValueError("at least one temperature must be positive")
     return math.sqrt((t_mot + t_mt) * 8.0 * K_B / (math.pi * species.mass))
@@ -57,8 +58,7 @@ def mean_collision_velocity(t_mot: float, t_mt: float,
 def excited_mot_density(n_mot: float, p_e: float, v_mt: float) -> float:
     """Effective density of excited reservoir atoms: the excited-atom
     number spread over the trapped-cloud volume, N_MOT * P_e / V."""
-    if v_mt <= 0:
-        raise ValueError("v_mt must be positive")
+    require("v_mt", v_mt, POSITIVE)
     return n_mot * p_e / v_mt
 
 
@@ -89,8 +89,7 @@ def overlap_correction(size_ratio: float) -> float:
     I1 = (1 - I0)/(2a), I2 = (I0 - I1)/(2a). The angle integral is a
     fixed 32-point Gauss-Legendre rule.
     """
-    if not 0.0 < size_ratio <= 1.0:
-        raise ValueError("size_ratio must be in (0, 1]")
+    require("size_ratio", size_ratio, POSITIVE_FRACTION)
     q = size_ratio
     a = (_COS_T ** 2 + 0.25 * _SIN2_T) / (2.0 * q * q)
     x = 0.5 / np.sqrt(a)
@@ -106,8 +105,6 @@ def cross_section_from_beta(beta: float, v: float) -> float:
     """Operational cross section sigma = beta / v for a two-body loss
     coefficient beta at mean collisional velocity v. No identical-particle
     factors are applied."""
-    if v <= 0:
-        raise ValueError("v must be positive")
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
+    require("v", v, POSITIVE)
+    require("beta", beta, NONNEGATIVE)
     return beta / v

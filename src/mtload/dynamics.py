@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collisions import GAUSS_NODES, GAUSS_WEIGHTS
-
-_TINY = float(np.finfo(float).tiny)  # the smallest positive normal float
+from .errors import (NONNEGATIVE, POSITIVE, POSITIVE_NORMAL, POSITIVE_OR_INF,
+                     require)
 
 
 @dataclass(frozen=True)
@@ -50,18 +50,11 @@ class RateModel:
     volume_growth_rate: float = 0.0    # 1/s (alpha)
 
     def __post_init__(self):
-        for name in ("two_body_coeff", "volume_growth_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, "
-                                 f"got {value!r}")
-        if not 0 < self.background_lifetime <= math.inf:
-            raise ValueError("background_lifetime must be positive, got "
-                             f"{self.background_lifetime!r}")
-        if not (math.isfinite(self.initial_volume)
-                and self.initial_volume > 0):
-            raise ValueError("initial_volume must be finite and positive, "
-                             f"got {self.initial_volume!r}")
+        require("background_lifetime", self.background_lifetime,
+                POSITIVE_OR_INF)
+        require("two_body_coeff", self.two_body_coeff, NONNEGATIVE)
+        require("initial_volume", self.initial_volume, POSITIVE)
+        require("volume_growth_rate", self.volume_growth_rate, NONNEGATIVE)
 
     def volume_law(self):
         """V(t) = V0 (1 + alpha t), for scalar or array t."""
@@ -96,8 +89,7 @@ def loading_curve(r: float, gamma: float, t):
     ``gamma == 0`` degenerates to the linear limit N = R t. Accepts scalar
     or array times.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    require("gamma", gamma, NONNEGATIVE)
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("t must be >= 0")
@@ -110,8 +102,7 @@ def loading_curve(r: float, gamma: float, t):
 
 def steady_state_population(r: float, gamma: float) -> float:
     """Steady-state atom number N0 = R / Gamma."""
-    if gamma <= 0:
-        raise ValueError("no steady state exists for gamma <= 0")
+    require("gamma", gamma, POSITIVE)
     return r / gamma
 
 
@@ -123,8 +114,10 @@ def mot_on_decay_rate(n_e: float, sigma_ed: float, v: float,
     With the default ``gamma_background=0`` this is the background-
     subtracted collisional rate.
     """
-    if n_e < 0 or sigma_ed < 0 or v < 0 or gamma_background < 0:
-        raise ValueError("inputs must be >= 0")
+    require("n_e", n_e, NONNEGATIVE)
+    require("sigma_ed", sigma_ed, NONNEGATIVE)
+    require("v", v, NONNEGATIVE)
+    require("gamma_background", gamma_background, NONNEGATIVE)
     return gamma_background + n_e * sigma_ed * v
 
 
@@ -179,9 +172,7 @@ def decay_density_at(times: np.ndarray, initial_density: float,
     ``initial_density`` exactly. Raises ValueError for an initial density
     that is not a finite normal float, and for ``times`` as
     ``_decay_solution`` does."""
-    if not (math.isfinite(initial_density) and initial_density >= _TINY):
-        raise ValueError("initial_density must be finite and at least "
-                         f"{_TINY!r}, got {initial_density!r}")
+    require("initial_density", initial_density, POSITIVE_NORMAL)
     w, integral = _decay_solution(times, model.background_lifetime,
                                   model.volume_growth_rate)
     out = w / (1.0 / initial_density + model.two_body_coeff * integral)
@@ -194,11 +185,8 @@ def integrate_mt_decay(initial_density: float, model: RateModel,
     """Sample the post-loading decay from 0 to ``t_end`` in the fewest
     equal steps no longer than ``dt_hint``. Emits peak density, the volume
     law, and the atom number N = n0 V."""
-    if not (math.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be finite and positive, got {t_end!r}")
-    if not (math.isfinite(dt_hint) and dt_hint > 0):
-        raise ValueError("dt_hint must be finite and positive, got "
-                         f"{dt_hint!r}")
+    require("t_end", t_end, POSITIVE)
+    require("dt_hint", dt_hint, POSITIVE)
     n_steps = max(1, math.ceil(t_end / dt_hint))
     # t_end / dt_hint can round up past an integer, as it does for
     # dt_hint = t_end / (samples - 1); one step fewer then already fits

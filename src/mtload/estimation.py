@@ -21,7 +21,8 @@ import numpy as np
 from .cloud import QuadrupoleField
 from .constants import G_ACCEL, K_B
 from .dynamics import _decay_solution
-from .errors import ConfigError, GravityAxisError, InputDataError
+from .errors import (POSITIVE, ConfigError, GravityAxisError,
+                     InputDataError, require)
 from .leastsq import _EPS, FitResult, _stderr, least_squares
 from .species import SpeciesData
 from .tables import ResultTable
@@ -233,10 +234,8 @@ def profile_model(image: DensityImage, n0: float, shape_b: float,
     rho = sqrt(x^2+y^2), q = sqrt(y^2+4z^2). n0 and B must be positive
     and finite; a ValueError names the one that is not.
     """
-    for name, value in (("n0", n0), ("shape_b", shape_b)):
-        if not 0.0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, "
-                             f"got {value!r}")
+    require("n0", n0, POSITIVE)
+    require("shape_b", shape_b, POSITIVE)
     return _image_model(image, mode)(n0, shape_b, shape_g)
 
 
@@ -496,8 +495,9 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     (t0_sensitivity), or carry ``beta_consistent_with_zero = True`` when
     beta is not at least twice its stderr. Every density sample must be
     positive: the first that is not raises InputDataError naming its data
-    row. A w(t) that underflows to 0 raises ValueError naming t0 and the
-    first such row.
+    row. A w(t) so small that a weight 1/(w/n)^2 is not finite raises
+    ValueError naming t0 and the first such row, and so does a singular
+    weighted solve, naming t0.
     """
     density_series.require_time_axis()
     if t0 <= 0:
@@ -519,14 +519,21 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
 
     def solve(t0_value: float):
         w, integral = _decay_solution(t, t0_value, alpha)
-        if w[-1] == 0.0:  # w falls with t, so it is smallest last
-            row = int(np.argmax(w == 0.0))
-            raise ValueError(f"the decay solution w(t) underflows to 0 at "
-                             f"t0 = {t0_value!r} s in data row {row + 1}")
         z = w / y
+        with np.errstate(divide="ignore", over="ignore"):
+            weight = 1.0 / z ** 2
+        row = int(np.argmax(~np.isfinite(weight)))
+        if not math.isfinite(weight[row]):
+            raise ValueError(f"the decay solution w(t) is too small at t0 = "
+                             f"{t0_value!r} s: the weight 1/(w/n)^2 of data "
+                             f"row {row + 1} is not finite")
         design = np.column_stack([np.ones_like(z), integral])
-        z_hat = design @ _weighted_line(design, z, 1.0 / z ** 2)[0]
-        return _weighted_line(design, z, 1.0 / z_hat ** 2)
+        try:
+            z_hat = design @ _weighted_line(design, z, weight)[0]
+            return _weighted_line(design, z, 1.0 / z_hat ** 2)
+        except np.linalg.LinAlgError as exc:
+            raise ValueError(f"the two-body fit's weighted solve failed at "
+                             f"t0 = {t0_value!r} s: {exc}") from None
 
     (u, beta), ssr, weighted = solve(t0)
     s2 = max(ssr / (t.size - 2), _EPS) if t.size > 2 else math.nan

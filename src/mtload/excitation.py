@@ -3,6 +3,7 @@ transfer rate into the magnetic trap."""
 
 from dataclasses import dataclass
 
+from .errors import FRACTION, NONNEGATIVE, at_least, require
 from .species import SpeciesData
 
 # polarization-averaged saturation intensity convention, <I_s> = 7/3 I_s
@@ -24,10 +25,9 @@ class LightField:
     detuning: float = 0.0           # rad/s
 
     def __post_init__(self):
-        if self.single_beam_intensity < 0:
-            raise ValueError("single_beam_intensity must be >= 0")
-        if self.beam_count < 1:
-            raise ValueError("beam_count must be >= 1")
+        require("single_beam_intensity", self.single_beam_intensity,
+                NONNEGATIVE)
+        require("beam_count", self.beam_count, at_least(1))
 
     @property
     def total_intensity(self) -> float:
@@ -52,10 +52,8 @@ def excitation_probability(light: LightField, species: SpeciesData) -> float:
 def transfer_rate(n_mot: float, p_e: float, species: SpeciesData,
                   efficiency: float) -> float:
     """Continuous loading rate R = efficiency * N_MOT * P_e * gamma_ed (1/s)."""
-    if n_mot < 0:
-        raise ValueError("n_mot must be >= 0")
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError("efficiency must be within [0, 1]")
+    require("n_mot", n_mot, NONNEGATIVE)
+    require("efficiency", efficiency, FRACTION)
     return efficiency * n_mot * p_e * species.gamma_ed
 
 

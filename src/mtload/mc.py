@@ -52,6 +52,7 @@ import numpy as np
 
 from .cloud import MotCloud, QuadrupoleField
 from .constants import K_B, MU_B
+from .errors import at_least, require
 from .species import SpeciesData
 
 ZEEMAN_M_VALUES = tuple(range(-4, 5))
@@ -186,8 +187,7 @@ def simulate_transfer(mot: MotCloud, dist: PumpingDistribution,
     if isinstance(count, bool) or not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
     count = int(count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    require("count", count, at_least(1))
     p = np.asarray(dist.probabilities)
     per_m = rng.multinomial(count, p / p.sum())[5:].tolist()  # m = 1..4
     n = sum(per_m)

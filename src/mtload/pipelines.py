@@ -51,17 +51,21 @@ def loading_context(sc: Scenario,
     shape_b, shape_g = cloud.shape_params(t_mt, sc.mu_bar(), sc.field(),
                                           species)
     volume = cloud.effective_volume(shape_b, shape_g)
-    n_e = collisions.excited_mot_density(n_mot, p_e, volume)
-    v_bar = collisions.mean_collision_velocity(mot.temperature, t_mt, species)
-    sigma_eff = sc["rates.sigma_ed_m2"] * sc["rates.overlap_factor"]
-    gamma_total = dynamics.mot_on_decay_rate(
-        n_e, sigma_eff, v_bar, sc["rates.mot_on_background_rate_per_s"])
-    rate = excitation.transfer_rate(n_mot, p_e, species,
-                                    sc["transfer.efficiency"])
-    for name, value in (("n_e", n_e), ("Gamma", gamma_total), ("R", rate)):
+
+    def finite(name, value):
         if not math.isfinite(value):
             raise ValueError(f"non-finite {name} = {format_number(value)} "
                              "in the loading context")
+        return value
+
+    # n_e is checked before mot_on_decay_rate, which refuses an infinite one
+    n_e = finite("n_e", collisions.excited_mot_density(n_mot, p_e, volume))
+    v_bar = collisions.mean_collision_velocity(mot.temperature, t_mt, species)
+    sigma_eff = sc["rates.sigma_ed_m2"] * sc["rates.overlap_factor"]
+    gamma_total = finite("Gamma", dynamics.mot_on_decay_rate(
+        n_e, sigma_eff, v_bar, sc["rates.mot_on_background_rate_per_s"]))
+    rate = finite("R", excitation.transfer_rate(n_mot, p_e, species,
+                                                sc["transfer.efficiency"]))
     return LoadingContext(
         p_e=p_e, t_mt=t_mt, shape_b=shape_b, volume=volume, n_e=n_e,
         v_bar=v_bar, gamma_total=gamma_total, rate=rate,

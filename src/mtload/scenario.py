@@ -10,118 +10,97 @@ a result can always be traced back to its exact configuration.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .cloud import MotCloud, QuadrupoleField, predict_mt_temperature
 from .constants import MU_B
-from .errors import ConfigError
+from .errors import (FINITE, FRACTION, NONNEGATIVE, POSITIVE,
+                     POSITIVE_FRACTION, POSITIVE_NORMAL, ConfigError,
+                     at_least)
 from .excitation import LightField
 from .species import SpeciesData, chromium52
 from .tables import format_number, read_text
 
-_FLOAT = "float"
-_INT = "int"
-_STR = "str"
-_FLOAT_LIST = "float_list"
-_FLOAT_OR_VIRIAL = "float_or_virial"
 
-# domains: (test, the phrase after "must be" in the error message); a list
-# key's test must hold for each element
-def _at_least(low):
-    return (lambda v: v >= low, f">= {low}")
+# parsers: each takes a value's stripped text and returns the value, or
+# raises ValueError with the message that follows "line N: key: "
+def _float(text: str, expected: str = "a number", part=None) -> float:
+    """``part`` of ``text``, or all of it, as a finite float."""
+    try:
+        value = float(text if part is None else part)
+    except ValueError:
+        raise ValueError(f"expected {expected}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {text!r}")
+    return value
 
 
-_FINITE = (math.isfinite, "finite")
-_POSITIVE = (lambda v: v > 0, "positive")
-_NONNEGATIVE = _at_least(0)
-_FRACTION = (lambda v: 0 <= v <= 1, "in [0, 1]")
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
 
-# key -> (kind, default, domain)
-SCENARIO_KEYS: dict[str, tuple[str, object, tuple]] = {
-    "seed": (_INT, 42, _NONNEGATIVE),
-    "species.name": (_STR, "cr52", (lambda v: v == "cr52",
-                                    "'cr52', the only bundled dataset")),
-    "species.lande_g_d": (_FLOAT, 1.5, _POSITIVE),
+
+def _float_or_virial(text: str):
+    return text if text == "virial" else _float(text, "a number or 'virial'")
+
+
+def _float_list(text: str) -> tuple:
+    parts = [p.strip() for p in text.split(",")]
+    if parts == [""]:
+        raise ValueError("expected a nonempty comma-separated number list")
+    return tuple(_float(text, "numbers", p) for p in parts)
+
+
+# key -> (parser, default, domain); a list key's domain must hold for each
+# element
+SCENARIO_KEYS: dict[str, tuple] = {
+    "seed": (_int, 42, NONNEGATIVE),
+    "species.name": (str, "cr52", (lambda v: v == "cr52",
+                                   "'cr52', the only bundled dataset")),
+    "species.lande_g_d": (_float, 1.5, POSITIVE),
     # default gradient chosen so the default scenario lands at the headline
     # operating point (steady state near 1e8 atoms, tau near 1 s)
-    "trap.gradient_G_per_cm": (_FLOAT, 15.0, _POSITIVE),
-    "mot.sigma_um": (_FLOAT, 200.0, _NONNEGATIVE),
-    "mot.temperature_uK": (_FLOAT, 300.0, _POSITIVE),
-    "mot.atom_number": (_FLOAT, 1.0e7, _POSITIVE),
-    "mt.temperature_uK": (_FLOAT_OR_VIRIAL, "virial",
+    "trap.gradient_G_per_cm": (_float, 15.0, POSITIVE),
+    "mot.sigma_um": (_float, 200.0, NONNEGATIVE),
+    "mot.temperature_uK": (_float, 300.0, POSITIVE),
+    "mot.atom_number": (_float, 1.0e7, POSITIVE),
+    "mt.temperature_uK": (_float_or_virial, "virial",
                           (lambda v: v == "virial" or v > 0,
                            "positive or 'virial'")),
-    "transfer.efficiency": (_FLOAT, 0.32, _FRACTION),
-    "transfer.mean_zeeman_m": (_INT, 4, (lambda m: 1 <= m <= 4, "in [1, 4]")),
-    "light.intensity_per_beam_sat": (_FLOAT, 15.0, _NONNEGATIVE),
-    "light.beam_count": (_INT, 6, _at_least(1)),
-    "light.detuning_linewidths": (_FLOAT, -2.0, _FINITE),
-    "rates.background_lifetime_s": (_FLOAT, 60.0, _POSITIVE),
-    "rates.mot_on_background_rate_per_s": (_FLOAT, 0.2, _NONNEGATIVE),
-    "rates.two_body_m3_per_s": (_FLOAT, 7.0e-17, _NONNEGATIVE),
-    "rates.volume_growth_per_s": (_FLOAT, 0.1, _NONNEGATIVE),
-    "rates.sigma_ed_m2": (_FLOAT, 1.0e-15, _NONNEGATIVE),
-    "rates.overlap_factor": (_FLOAT, 1.0, (lambda v: 0 < v <= 1,
-                                           "in (0, 1]")),
-    "sim.t_end_s": (_FLOAT, 5.0, _POSITIVE),
-    "sim.samples": (_INT, 51, _at_least(2)),
-    # a normal float, so that 1/n stays finite in the decay solution
-    "decay.initial_density_m3": (_FLOAT, 1.0e16,
-                                 _at_least(sys.float_info.min)),
-    "decay.t_end_s": (_FLOAT, 10.0, _POSITIVE),
-    "decay.samples": (_INT, 101, _at_least(2)),
-    "mc.particles": (_INT, 100_000, _at_least(2)),
-    "noise.sigma_rel": (_FLOAT, 0.0, _NONNEGATIVE),
-    "figure2.detunings_linewidths": (_FLOAT_LIST, (-2.0, -5.0, -8.0),
-                                     _FINITE),
-    "figure2.efficiencies": (_FLOAT_LIST, (0.32, 0.25, 0.16), _FRACTION),
-    "figure2.atom_numbers": (_FLOAT_LIST, (2e6, 5e6, 1e7, 2e7, 3.5e7,
-                                           5e7, 7.5e7, 1e8), _POSITIVE),
-    "figure3.atom_numbers": (_FLOAT_LIST, (1e6, 2e6, 3.5e6, 5e6, 7.5e6, 1e7,
+    "transfer.efficiency": (_float, 0.32, FRACTION),
+    "transfer.mean_zeeman_m": (_int, 4, (lambda m: 1 <= m <= 4, "in [1, 4]")),
+    "light.intensity_per_beam_sat": (_float, 15.0, NONNEGATIVE),
+    "light.beam_count": (_int, 6, at_least(1)),
+    "light.detuning_linewidths": (_float, -2.0, FINITE),
+    "rates.background_lifetime_s": (_float, 60.0, POSITIVE),
+    "rates.mot_on_background_rate_per_s": (_float, 0.2, NONNEGATIVE),
+    "rates.two_body_m3_per_s": (_float, 7.0e-17, NONNEGATIVE),
+    "rates.volume_growth_per_s": (_float, 0.1, NONNEGATIVE),
+    "rates.sigma_ed_m2": (_float, 1.0e-15, NONNEGATIVE),
+    "rates.overlap_factor": (_float, 1.0, POSITIVE_FRACTION),
+    "sim.t_end_s": (_float, 5.0, POSITIVE),
+    "sim.samples": (_int, 51, at_least(2)),
+    "decay.initial_density_m3": (_float, 1.0e16, POSITIVE_NORMAL),
+    "decay.t_end_s": (_float, 10.0, POSITIVE),
+    "decay.samples": (_int, 101, at_least(2)),
+    "mc.particles": (_int, 100_000, at_least(2)),
+    "noise.sigma_rel": (_float, 0.0, NONNEGATIVE),
+    "figure2.detunings_linewidths": (_float_list, (-2.0, -5.0, -8.0),
+                                     FINITE),
+    "figure2.efficiencies": (_float_list, (0.32, 0.25, 0.16), FRACTION),
+    "figure2.atom_numbers": (_float_list, (2e6, 5e6, 1e7, 2e7, 3.5e7,
+                                           5e7, 7.5e7, 1e8), POSITIVE),
+    "figure3.atom_numbers": (_float_list, (1e6, 2e6, 3.5e6, 5e6, 7.5e6, 1e7,
                                            2e7, 3e7, 4e7, 5.5e7, 7.5e7, 1e8),
-                             _POSITIVE),
-    "figure4.lightshift": (_FLOAT_LIST, (3.0, 6.0, 9.0, 12.0, 15.0, 18.0,
+                             POSITIVE),
+    "figure4.lightshift": (_float_list, (3.0, 6.0, 9.0, 12.0, 15.0, 18.0,
                                          21.0, 24.0, 27.0, 30.0),
-                           _NONNEGATIVE),
-    "figure4.tmot_offset_uK": (_FLOAT, 60.0, _POSITIVE),
-    "figure4.tmot_slope_uK": (_FLOAT, 15.0, _NONNEGATIVE),
+                           NONNEGATIVE),
+    "figure4.tmot_offset_uK": (_float, 60.0, POSITIVE),
+    "figure4.tmot_slope_uK": (_float, 15.0, NONNEGATIVE),
 }
-
-
-def _parse_value(key: str, kind: str, text: str, lineno: int):
-    def fail(message):
-        raise ConfigError(f"line {lineno}: {key}: {message}")
-
-    def number(part: str, expected: str) -> float:
-        try:
-            value = float(part)
-        except ValueError:
-            fail(f"expected {expected}, got {text!r}")
-        if not math.isfinite(value):
-            fail(f"must be finite, got {text!r}")
-        return value
-
-    text = text.strip()
-    if kind == _STR:
-        return text
-    if kind == _INT:
-        try:
-            return int(text)
-        except ValueError:
-            fail(f"expected an integer, got {text!r}")
-    if kind == _FLOAT:
-        return number(text, "a number")
-    if kind == _FLOAT_OR_VIRIAL:
-        if text == "virial":
-            return "virial"
-        return number(text, "a number or 'virial'")
-    if kind == _FLOAT_LIST:
-        parts = [p.strip() for p in text.split(",")]
-        if parts == [""]:
-            fail("expected a nonempty comma-separated number list")
-        return tuple(number(p, "numbers") for p in parts)
-    raise AssertionError(f"unhandled kind {kind}")
 
 
 def _format_value(value) -> str:
@@ -230,8 +209,10 @@ def parse_scenario(text: str) -> Scenario:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        kind = SCENARIO_KEYS[key][0]
-        values[key] = _parse_value(key, kind, value_text, lineno)
+        try:
+            values[key] = SCENARIO_KEYS[key][0](value_text.strip())
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from None
     _validate(values)
     return Scenario(values)
 

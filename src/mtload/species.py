@@ -5,7 +5,9 @@ in scenario key names (``trap.gradient_G_per_cm``, ``mot.sigma_um``), and
 the scenario accessors convert them to SI.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .errors import POSITIVE, require
 
 _ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 
@@ -25,10 +27,8 @@ class SpeciesData:
     lande_g_d: float             # g-factor of the dark state
 
     def __post_init__(self):
-        for name in ("mass", "gamma_eg", "gamma_ed", "saturation_intensity",
-                     "lande_g_d"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for field in fields(self):
+            require(field.name, getattr(self, field.name), POSITIVE)
 
 
 def chromium52(lande_g_d: float = 1.5) -> SpeciesData:

@@ -9,6 +9,7 @@ import pytest
 from byte_manifest import COMMANDS, SCENARIOS
 from mtload import RateModel, cli, pipelines
 from mtload.cli import main
+from mtload.scenario import load_scenario
 from mtload.dynamics import decay_density_at
 from mtload.estimation import (DensityImage, SampleSeries, fit_linear,
                                image_to_table, render_density_image)
@@ -149,10 +150,6 @@ def test_scenario_failure_exit_code(tmp_path, capsys, line, command, code,
     assert err.startswith("mtload: ")
     assert all(phrase in err for phrase in phrases), err
     assert not out.exists()
-
-
-def test_io_error_exit_code():
-    assert main(["fit", "loading-curve", "/no/such/file.csv"]) == 4
 
 
 def test_io_error_on_unwritable_output(tmp_path, small_scenario):
@@ -326,24 +323,6 @@ def test_fit_two_body_round_trip(tmp_path, small_scenario):
     assert "volume_alpha_clamped" not in text
 
 
-def test_fit_two_body_at_subnormal_lifetime_is_numeric_failure(tmp_path,
-                                                               capsys):
-    # at t0 = 5e-324 the decay solution's w(t) is 0 after the first
-    # sample, so w/n leaves nothing to weigh: refused before any solve,
-    # with no RuntimeWarning (which pytest turns into an error)
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("rates.background_lifetime_s = 5e-324\n", encoding="utf-8")
-    _, data = run_to_file(tmp_path, ["simulate-decay"], "decay.csv")
-    code, out = run_to_file(
-        tmp_path, ["fit", "two-body", str(data), "--scenario", str(cfg)],
-        "fit.csv")
-    assert code == 3
-    assert capsys.readouterr().err == (
-        "mtload: numeric failure: the decay solution w(t) underflows to 0 "
-        "at t0 = 5e-324 s in data row 2\n")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("seed", [3, 4, 6, 7])
 def test_fit_two_body_without_two_body_loss(tmp_path, seed):
     # beta = 0 with 1% noise: the fit reports an unconstrained beta, of
@@ -431,91 +410,128 @@ def test_fit_density_image_slice_mode_from_file(tmp_path, cr):
                                                          rel=1e-4, abs=0.0)
 
 
-def test_fit_missing_column_is_config_error(tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("a(1),b(1)\n1.0,2.0\n", encoding="utf-8")
-    assert main(["fit", "loading-curve", str(bad)]) == 2
+# a 32 x 32 cloud image, an 8 x 8 one and a 2 x 3 one, cut or edited
+# below
+CLOUD = render_density_image(1e16, 3000.0, 700.0, 4e-5, (32, 32))
+EIGHT_BY_EIGHT, TWO_BY_THREE = (image_to_table(render_density_image(
+    1e16, 5e3, 2e2, pitch=2e-5, shape=shape)).to_csv()
+    for shape in ((8, 8), (2, 3)))
 
 
-def test_fit_linear_with_one_column_is_config_error(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    data.write_text("x(1)\n0\n1\n2\n", encoding="utf-8")
-    assert main(["fit", "linear", str(data)]) == 2
-    err = capsys.readouterr().err
-    assert "config error: linear fit needs at least two columns" in err
+def image_text(values):
+    return image_to_table(DensityImage(values, CLOUD.pitch,
+                                       CLOUD.axes)).to_csv()
 
 
-@pytest.mark.parametrize("fitter,text,message", [
-    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n2,8\n",
-     "need at least 5 samples"),
-    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n1,6\n2,8\n3,9\n4,9.5\n",
-     "strictly increasing"),
-    ("linear", "x(1),y(1)\n0,1\n1,3\n", "need at least 3 points"),
-    ("linear", "x(1),y(1)\n2,1\n2,3\n2,4\n", "x has zero variance"),
-    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,5\n2,nan\n3,9\n4,9.5\n",
-     "must be finite"),
-    ("loading-curve", "t(s),N_MT(count)\n0,0\n1,-5\n2,-8\n3,-9\n4,-9.5\n",
-     "no sample is positive"),
-    ("two-body", "t(s),n0(1/m^3),V(m^3)\n0,1e16,-1e-9\n1,9e15,-1.1e-9\n"
-     "2,8e15,-1.2e-9\n", "non-positive initial volume"),
-    ("two-body", "t(s),n0(1/m^3),V(m^3)\n0,-1e16,1e-9\n1,9e15,1.1e-9\n"
-     "2,8e15,1.2e-9\n", "density sample in data row 1 is -1e+16"),
-    pytest.param("two-body", "t(s),n0(1/m^3),V(m^3)\n0,1e16,1e-9\n"
-                 "1,9e15,1.1e-9\n2,0,1.2e-9\n3,7e15,1.3e-9\n",
-                 "density sample in data row 3 is 0.0",
-                 id="two-body-zero-in-row-3"),
-    pytest.param("density-image", image_to_table(DensityImage(
-        np.zeros((2, 2)), 2e-5, ("y", "x"))).to_csv(),
-        "degenerate image: all pixels zero", id="density-image-all-zero"),
-    pytest.param("density-image", image_to_table(DensityImage(
-        np.pad([[1.0]], 1), 2e-5, ("y", "x"))).to_csv(),
-        "degenerate image: no spatial extent",
-        id="density-image-lit-at-centre"),
-])
-def test_fit_input_data_error_exit_code(tmp_path, capsys, fitter, text,
-                                        message):
+def edited(old, new, text=EIGHT_BY_EIGHT):
+    assert old in text
+    return text.replace(old, new)
+
+
+DECAY = pipelines.simulate_decay(load_scenario()).to_csv()
+LOADING = "t(s),N_MT(count)\n0,0\n"
+TWO_BODY = "t(s),n0(1/m^3),V(m^3)\n"
+
+# a fitter, the text of its data file (None: no file), the exit code, the
+# phrases its stderr holds and, for some, a scenario line
+FIT_FAILURES = [
+    ("no-such-file", "loading-curve", None, 4, ["I/O error"]),
+    ("missing-column", "loading-curve", "a(1),b(1)\n1.0,2.0\n", 2,
+     ["config error", "missing column 't'"]),
+    ("linear-one-column", "linear", "x(1)\n0\n1\n2\n", 2,
+     ["config error: linear fit needs at least two columns"]),
     # data the fitter cannot take is an input error (2), not a numeric
     # failure (3)
-    data = tmp_path / "data.csv"
-    data.write_text(text, encoding="utf-8")
-    out = tmp_path / "fit.csv"
-    assert main(["fit", fitter, str(data), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "input data error" in err and message in err
-    assert not out.exists()
-
-
-def test_fit_density_image_with_one_row_is_numeric_failure(tmp_path,
-                                                          capsys):
-    # a 1 x 5 crop of a cloud image: one pixel along y does not determine
-    # the sag; the fit once exited 0 here with a negative density
-    image = render_density_image(1e16, 3000.0, 700.0, 4e-5, (32, 32))
-    crop = DensityImage(image.values[:1, :5], image.pitch, image.axes)
-    data = tmp_path / "crop.csv"
-    data.write_text(image_to_table(crop).to_csv(), encoding="utf-8")
-    out = tmp_path / "fit.csv"
-    out.write_text("previous\n", encoding="utf-8")
-    assert main(["fit", "density-image", str(data), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "numeric failure" in err and "shape_g" in err
-    assert out.read_text(encoding="utf-8") == "previous\n"
-
-
-@pytest.mark.parametrize("rows", [2, 3])
-def test_fit_density_image_with_fewer_than_4_pixels_is_input_error(
-        tmp_path, capsys, rows):
+    ("loading-3-samples", "loading-curve", LOADING + "1,5\n2,8\n", 2,
+     ["input data error", "need at least 5 samples"]),
+    ("loading-repeated-t", "loading-curve",
+     LOADING + "1,5\n1,6\n2,8\n3,9\n4,9.5\n", 2,
+     ["input data error", "strictly increasing"]),
+    ("linear-2-points", "linear", "x(1),y(1)\n0,1\n1,3\n", 2,
+     ["input data error", "need at least 3 points"]),
+    ("linear-constant-x", "linear", "x(1),y(1)\n2,1\n2,3\n2,4\n", 2,
+     ["input data error", "x has zero variance"]),
+    ("loading-nan", "loading-curve", LOADING + "1,5\n2,nan\n3,9\n4,9.5\n",
+     2, ["input data error", "must be finite"]),
+    ("loading-all-negative", "loading-curve",
+     LOADING + "1,-5\n2,-8\n3,-9\n4,-9.5\n", 2,
+     ["input data error", "no sample is positive"]),
+    ("two-body-negative-volume", "two-body",
+     TWO_BODY + "0,1e16,-1e-9\n1,9e15,-1.1e-9\n2,8e15,-1.2e-9\n", 2,
+     ["input data error", "non-positive initial volume"]),
+    ("two-body-negative-density", "two-body",
+     TWO_BODY + "0,-1e16,1e-9\n1,9e15,1.1e-9\n2,8e15,1.2e-9\n", 2,
+     ["input data error", "density sample in data row 1 is -1e+16"]),
+    ("two-body-zero-in-row-3", "two-body",
+     TWO_BODY + "0,1e16,1e-9\n1,9e15,1.1e-9\n2,0,1.2e-9\n3,7e15,1.3e-9\n",
+     2, ["input data error", "density sample in data row 3 is 0.0"]),
+    ("density-image-all-zero", "density-image", image_text(np.zeros((2, 2))),
+     2, ["input data error", "degenerate image: all pixels zero"]),
+    ("density-image-lit-at-centre", "density-image",
+     image_text(np.pad([[1.0]], 1)), 2,
+     ["input data error", "degenerate image: no spatial extent"]),
+    # a 1 x 5 crop: one pixel along y does not determine the sag; the fit
+    # once exited 0 here with a negative density
+    ("density-image-one-row", "density-image",
+     image_text(CLOUD.values[:1, :5]), 3, ["numeric failure", "shape_g"]),
     # a rows x 1 crop: three parameters leave no residual to estimate their
     # errors from; the fit once exited 0 with every stderr an exact 0.0
-    image = render_density_image(1e16, 3000.0, 700.0, 4e-5, (32, 32))
-    crop = DensityImage(image.values[15:15 + rows, 16:17], image.pitch,
-                        image.axes)
-    data = tmp_path / "crop.csv"
-    data.write_text(image_to_table(crop).to_csv(), encoding="utf-8")
+    *((f"density-image-{rows}x1", "density-image",
+       image_text(CLOUD.values[15:15 + rows, 16:17]), 2,
+       ["input data error", "at least 4"]) for rows in (2, 3)),
+    ("unknown-mode", "density-image",
+     edited("# image-mode = projection\n", "# image-mode = sideways\n"), 2,
+     ["config error", "unknown image-mode 'sideways'"]),
+    ("no-mode", "density-image", edited("# image-mode = projection\n", ""),
+     2, ["config error", "lacks required header 'image-mode'"]),
+    ("shape-not-a-number", "density-image",
+     edited("# image-shape = 8x8\n", "# image-shape = 8xA\n"), 2,
+     ["config error", "bad image header"]),
+    ("one-axis", "density-image",
+     edited("# image-axes = y,x\n", "# image-axes = y\n"), 2,
+     ["config error", "image-axes must name two axes"]),
+    ("pixel-count", "density-image",
+     edited("# image-shape = 8x8\n", "# image-shape = 8x7\n"), 2,
+     ["config error", "image has 64 pixels but header says 8x7"]),
+    # a non-positive image-shape over as many pixel rows as it multiplies
+    # to: all six, or none after the column line
+    ("shape--2x-3", "density-image",
+     edited("= 2x3", "= -2x-3", TWO_BY_THREE), 2,
+     ["config error", "image-shape"]),
+    ("shape-0x0", "density-image",
+     edited("= 2x3", "= 0x0", "".join(TWO_BY_THREE.splitlines(True)[:5])), 2,
+     ["config error", "image-shape"]),
+    # lifetimes far below the default decay's 10 s span: a weight
+    # 1/(w/n)^2 is not finite, or the weighted solve is singular; refused
+    # naming t0, with no RuntimeWarning (which pytest turns into an error)
+    *((f"two-body-t0-{t0}", "two-body", DECAY, 3,
+       ["numeric failure", f"at t0 = {t0} s"],
+       f"rates.background_lifetime_s = {t0}")
+      for t0 in ("0.05", "0.03", "0.02", "0.015", "0.01")),
+    # at t0 = 5e-324 w(t) is 0 after the first sample
+    ("two-body-t0-5e-324", "two-body", DECAY, 3,
+     ["numeric failure", "at t0 = 5e-324 s", "data row 2 is not finite"],
+     "rates.background_lifetime_s = 5e-324"),
+]
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param(row[1:], id=row[0]) for row in FIT_FAILURES])
+def test_fit_failure_exit_code(tmp_path, capsys, row):
+    fitter, text, code, phrases, *line = row
+    data = tmp_path / "data.csv"
+    if text is not None:
+        data.write_text(text, encoding="utf-8")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line) + "\n", encoding="utf-8")
     out = tmp_path / "fit.csv"
-    assert main(["fit", "density-image", str(data), "--out", str(out)]) == 2
+    out.write_text("previous\n", encoding="utf-8")
+    assert main(["fit", fitter, str(data), "--scenario", str(cfg),
+                 "--out", str(out)]) == code
     err = capsys.readouterr().err
-    assert "input data error" in err and "at least 4" in err
-    assert not out.exists()
+    assert err.startswith("mtload: ")
+    assert all(phrase in err for phrase in phrases), err
+    assert out.read_text(encoding="utf-8") == "previous\n"
 
 
 @pytest.mark.parametrize("args", [["simulate-loading", "--scenario"],
@@ -529,48 +545,6 @@ def test_input_that_is_not_utf8_is_config_error(tmp_path, capsys, args):
     err = capsys.readouterr().err
     assert "config error" in err and str(path) in err
     assert "not UTF-8" in err
-
-
-@pytest.mark.parametrize("header,replacement,message", [
-    pytest.param("# image-mode = projection\n", "# image-mode = sideways\n",
-                 "unknown image-mode 'sideways'", id="unknown-mode"),
-    pytest.param("# image-mode = projection\n", "",
-                 "lacks required header 'image-mode'", id="no-mode"),
-    pytest.param("# image-shape = 8x8\n", "# image-shape = 8xA\n",
-                 "bad image header", id="shape-not-a-number"),
-    pytest.param("# image-axes = y,x\n", "# image-axes = y\n",
-                 "image-axes must name two axes", id="one-axis"),
-    pytest.param("# image-shape = 8x8\n", "# image-shape = 8x7\n",
-                 "image has 64 pixels but header says 8x7",
-                 id="pixel-count"),
-])
-def test_fit_unknown_image_mode_is_config_error(tmp_path, capsys, header,
-                                                replacement, message):
-    image = render_density_image(1e16, 5e3, 2e2, pitch=2e-5, shape=(8, 8))
-    text = image_to_table(image).to_csv()
-    assert header in text
-    data = tmp_path / "img.csv"
-    data.write_text(text.replace(header, replacement), encoding="utf-8")
-    out = tmp_path / "fit.csv"
-    assert main(["fit", "density-image", str(data), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and message in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("shape,rows", [("-2x-3", 6), ("0x0", 0)])
-def test_fit_image_with_non_positive_shape_is_config_error(tmp_path, capsys,
-                                                           shape, rows):
-    image = render_density_image(1e16, 5e3, 2e2, pitch=2e-5, shape=(2, 3))
-    lines = image_to_table(image).to_csv().splitlines(keepends=True)
-    header = next(i for i, line in enumerate(lines)
-                  if not line.startswith("#"))
-    text = "".join(lines[:header + 1 + rows])
-    data = tmp_path / "img.csv"
-    data.write_text(text.replace("= 2x3", f"= {shape}"), encoding="utf-8")
-    assert main(["fit", "density-image", str(data)]) == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "image-shape" in err
 
 
 def test_out_of_memory_is_numeric_failure(tmp_path, monkeypatch, capsys):

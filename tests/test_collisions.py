@@ -73,8 +73,6 @@ def test_excited_density_example():
     assert excited_mot_density(1e7, 0.0, 1.571e-9) == 0.0
     assert excited_mot_density(1e7, 0.35, 2 * 1.571e-9) == pytest.approx(
         n_e / 2, rel=1e-12)
-    with pytest.raises(ValueError):
-        excited_mot_density(1e7, 0.35, 0.0)
 
 
 def test_overlap_point_reservoir_limit():
@@ -106,13 +104,6 @@ def test_overlap_monotone_decreasing():
     assert all(0.0 < v <= 1.0 for v in values)
 
 
-def test_overlap_domain():
-    with pytest.raises(ValueError):
-        overlap_correction(0.0)
-    with pytest.raises(ValueError):
-        overlap_correction(1.5)
-
-
 def test_cross_section_from_beta(cr):
     v_mt = mean_collision_velocity(100e-6, 100e-6, cr)
     sigma = cross_section_from_beta(7e-17, v_mt)
@@ -123,8 +114,6 @@ def test_cross_section_from_beta(cr):
     assert cross_section_from_beta(0.0, 0.2) == 0.0
     assert cross_section_from_beta(7e-17, 0.4) == pytest.approx(
         cross_section_from_beta(7e-17, 0.2) / 2, rel=1e-15, abs=0.0)
-    with pytest.raises(ValueError):
-        cross_section_from_beta(7e-17, 0.0)
 
 
 def test_loss_rate_composition_linearity(cr):

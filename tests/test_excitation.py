@@ -87,10 +87,3 @@ def test_efficiency_zero_denominator_rejected(cr):
         efficiency_from_rate(1.0, 0.0, 0.3, cr)
     with pytest.raises(ValueError):
         efficiency_from_rate(1.0, 1e7, 0.0, cr)
-
-
-def test_light_field_validation():
-    with pytest.raises(ValueError):
-        LightField(single_beam_intensity=-1.0)
-    with pytest.raises(ValueError):
-        LightField(single_beam_intensity=1.0, beam_count=0)
