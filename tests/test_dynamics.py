@@ -189,6 +189,26 @@ def test_dt_hint_between_counts_rounds_the_step_count_up():
     np.testing.assert_allclose(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
+def test_rate_model_validation():
+    with pytest.raises(ValueError):
+        RateModel(two_body_coeff=-1.0)
+    with pytest.raises(ValueError):
+        RateModel(background_lifetime=0.0)
+    with pytest.raises(ValueError):
+        RateModel(initial_volume=0.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("two_body_coeff", math.nan), ("two_body_coeff", math.inf),
+    ("volume_growth_rate", math.nan), ("volume_growth_rate", math.inf),
+    ("background_lifetime", math.nan), ("background_lifetime", -math.inf),
+    ("initial_volume", math.nan), ("initial_volume", math.inf),
+])
+def test_rate_model_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        RateModel(**{field: value})
+
+
 @pytest.mark.parametrize("beta", (1e300, 1e292))
 @pytest.mark.parametrize("n0", (1e16, 3.0603e16))
 def test_decay_with_overflowing_two_body_term(beta, n0):
@@ -207,6 +227,13 @@ def test_decay_with_overflowing_two_body_term(beta, n0):
     assert_one_formula(times, 60.0, 0.1, n0, beta, density)
 
 
+# 1e-310 is subnormal: 1/n(s) would overflow and the decay read 0
+@pytest.mark.parametrize("density", (math.nan, math.inf, 0.0, -1.0, 1e-310))
+def test_decay_rejects_bad_initial_density(density):
+    with pytest.raises(ValueError, match="initial_density"):
+        decay_density_at([0.0, 1.0], density, RateModel())
+
+
 @pytest.mark.parametrize("times", (
     [0.0, math.nan, 2.0], [0.0, 1.0, math.inf], [[0.0, 1.0]], [],
     [0.0, 2.0, 1.0], [0.0, 1.0, 1.0],
@@ -214,6 +241,16 @@ def test_decay_with_overflowing_two_body_term(beta, n0):
 def test_decay_rejects_bad_times(times):
     with pytest.raises(ValueError, match="times"):
         decay_density_at(times, 1e16, RateModel())
+
+
+@pytest.mark.parametrize("field,args", [
+    ("t_end", (math.inf, 0.1)), ("t_end", (math.nan, 0.1)),
+    ("t_end", (0.0, 0.1)), ("dt_hint", (1.0, math.inf)),
+    ("dt_hint", (1.0, math.nan)), ("dt_hint", (1.0, 0.0)),
+])
+def test_integrate_rejects_bad_span(field, args):
+    with pytest.raises(ValueError, match=field):
+        integrate_mt_decay(1e16, RateModel(), *args)
 
 
 def test_trajectory_validation():

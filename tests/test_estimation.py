@@ -359,6 +359,18 @@ def test_profile_model_kernel_limit():
     assert vals[1, 1] == pytest.approx(1e16 / 2000.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("name,n0,shape_b", [
+    ("shape_b", 1e16, 0.0), ("shape_b", 1e16, -2000.0),
+    ("shape_b", 1e16, math.nan), ("shape_b", 1e16, math.inf),
+    ("n0", 0.0, 2000.0), ("n0", -1e16, 2000.0), ("n0", math.nan, 2000.0),
+])
+def test_profile_model_rejects_non_physical_parameters(name, n0, shape_b):
+    image = DensityImage(np.ones((3, 3)), pitch=1e-4)
+    for mode in ("projection", "slice"):
+        with pytest.raises(ValueError, match=name):
+            profile_model(image, n0, shape_b, 0.0, mode)
+
+
 @pytest.mark.parametrize("axes,mode", [
     (("y", "x"), "projection"),
     (("y", "z"), "projection"),

@@ -678,6 +678,19 @@ def test_edge_draws_stay_finite(cr, field, dist):
                for value in dataclasses.astuple(report))
 
 
+def test_transfer_leaves_no_thread_behind(cr, field):
+    # the whole call runs on this thread: none is left running after a
+    # return or a raise
+    before = threading.active_count()
+    simulate_transfer(mot(), UPPER, field, cr, 200_000,
+                      seed_stream(40, "threads"))
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="no trapped atoms"):
+        simulate_transfer(mot(), PumpingDistribution.point(-2), field, cr,
+                          200_000, seed_stream(40, "threads"))
+    assert threading.active_count() == before
+
+
 def run_on_threads(*calls, timeout=60.0):
     """Every call on its own daemon thread, all released at once: the
     results in call order, or the first exception raised, or a test
@@ -705,38 +718,36 @@ def run_on_threads(*calls, timeout=60.0):
     return results
 
 
-def test_transfer_runs_on_the_callers_thread(cr, field):
-    # no thread is left running after a return or a raise, and calls on
-    # concurrent threads, each with its own generator, share no state:
-    # the same reports and generator states as made one by one
-    def transfer_call(dist, count, seed):
-        def call():
-            rng = seed_stream(seed, "concurrent")
-            report = simulate_transfer(mot(), dist, field, cr, count, rng)
-            return report, rng.bit_generator.state
-        return call
+def transfer_call(cr, fld, dist, count, seed):
+    def call():
+        rng = seed_stream(seed, "concurrent")
+        report = simulate_transfer(mot(), dist, fld, cr, count, rng)
+        return report, rng.bit_generator.state
+    return call
 
-    # two calls of several blocks each, then more callers than cores
-    multi_block = [transfer_call(PumpingDistribution.uniform(), 100_000, 43),
-                   transfer_call(UPPER, 100_000, 44)]
-    small = [transfer_call(dist, 3000, 45 + i) for i, dist in
+
+def test_concurrent_transfers_match_serial_ones(cr, field):
+    # two calls on two threads, each with its own generator, share no
+    # state: the same reports and generator states as made one by one
+    calls = [transfer_call(cr, field, PumpingDistribution.uniform(),
+                           100_000, 43),
+             transfer_call(cr, field, UPPER, 100_000, 44)]
+    serial = [call() for call in calls]
+    assert run_on_threads(*calls) == serial
+
+
+def test_concurrent_transfers_under_stress(cr, field):
+    # more callers than cores and a short switch interval, so the calls
+    # interleave between numpy operations
+    calls = [transfer_call(cr, field, dist, 3000, 45 + i) for i, dist in
              enumerate([PumpingDistribution.uniform(), UPPER,
                         PumpingDistribution.point(4),
                         PumpingDistribution.point(1)])]
-    before = threading.active_count()
-    serial = [call() for call in multi_block + small]
-    assert threading.active_count() == before
-    with pytest.raises(ValueError, match="no trapped atoms"):
-        simulate_transfer(mot(), PumpingDistribution.point(-2), field, cr,
-                          200_000, seed_stream(40, "threads"))
-    assert threading.active_count() == before
-    assert run_on_threads(*multi_block) == serial[:2]
-    # a short switch interval, so the small calls interleave between
-    # numpy operations
+    serial = [call() for call in calls]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        concurrent = run_on_threads(*small)
+        concurrent = run_on_threads(*calls)
     finally:
         sys.setswitchinterval(interval)
-    assert concurrent == serial[2:]
+    assert concurrent == serial
