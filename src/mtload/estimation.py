@@ -23,7 +23,7 @@ from .constants import G_ACCEL, K_B
 from .dynamics import _decay_solution
 from .errors import (POSITIVE, ConfigError, GravityAxisError,
                      InputDataError, require)
-from .leastsq import _EPS, FitResult, _stderr, least_squares
+from .leastsq import _EPS, FitResult, _lstsq, least_squares
 from .species import SpeciesData
 from .tables import ResultTable
 
@@ -349,32 +349,29 @@ def fit_loading_curve(data: SampleSeries) -> FitResult:
     return result
 
 
-def _weighted_line(design: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Weighted linear least squares: the coefficients c minimizing
-    sum w (y - design c)^2 from the normal equations, the weighted sum of
-    squared residuals, and the weighted design sqrt(w) design that
-    ``_stderr`` takes."""
-    wd = design * w[:, None]
-    coef = np.linalg.solve(design.T @ wd, wd.T @ y)
-    resid = y - design @ coef
-    return coef, float(resid @ (w * resid)), design * np.sqrt(w)[:, None]
+def _weighted_line(design: np.ndarray, y: np.ndarray, root_w: np.ndarray):
+    """Weighted linear least squares, one ``_lstsq`` call: the
+    coefficients c minimizing sum (root_w (y - design c))^2, their
+    unit-variance errors and that least sum."""
+    coef, err = _lstsq(design * root_w[:, None], y * root_w)
+    resid = (y - design @ coef) * root_w
+    return coef, err, float(resid @ resid)
 
 
 def fit_linear(data: SampleSeries) -> FitResult:
     """Straight-line least squares, uncertainty-weighted when sigmas are
-    present. Closed form, no iteration. The standard errors come from
-    least_squares' SVD routine on the weighted design: unweighted, scaled
-    by the reduced chi-square; weighted, taking the sigmas as absolute."""
+    present, in one SVD solve (``_lstsq``). The errors are scaled by the
+    reduced chi-square unweighted; weighted, the sigmas are absolute."""
     x, y = data.x, data.y
     if len(x) < 3:
         raise InputDataError("need at least 3 points for a line fit")
     if np.all(x == x[0]):
         raise InputDataError("degenerate data: x has zero variance")
-    w = np.ones_like(x) if data.y_sigma is None else 1.0 / data.y_sigma ** 2
-    coef, ssr_w, weighted = _weighted_line(
-        np.column_stack([x, np.ones_like(x)]), y, w)
+    root_w = np.ones_like(x) if data.y_sigma is None else 1.0 / data.y_sigma
+    coef, err, ssr_w = _weighted_line(
+        np.column_stack([x, np.ones_like(x)]), y, root_w)
     s2 = ssr_w / (x.size - 2) if data.y_sigma is None else 1.0
-    stderr = _stderr(weighted, s2)
+    stderr = math.sqrt(s2) * err
     return FitResult(
         params={"slope": float(coef[0]), "intercept": float(coef[1])},
         stderr={"slope": float(stderr[0]), "intercept": float(stderr[1])},
@@ -495,9 +492,10 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
     (t0_sensitivity), or carry ``beta_consistent_with_zero = True`` when
     beta is not at least twice its stderr. Every density sample must be
     positive: the first that is not raises InputDataError naming its data
-    row. A w(t) so small that a weight 1/(w/n)^2 is not finite raises
-    ValueError naming t0 and the first such row, and so does a singular
-    weighted solve, naming t0.
+    row. A w(t) so small that a row weight n/w is not finite raises
+    ValueError naming t0 and the first such row. So does either pass whose
+    weighted design has a free direction (``_lstsq``), naming t0: there the
+    data do not determine n_init and beta.
     """
     density_series.require_time_axis()
     if t0 <= 0:
@@ -521,23 +519,27 @@ def fit_two_body_loss(density_series: SampleSeries, t0: float,
         w, integral = _decay_solution(t, t0_value, alpha)
         z = w / y
         with np.errstate(divide="ignore", over="ignore"):
-            weight = 1.0 / z ** 2
-        row = int(np.argmax(~np.isfinite(weight)))
-        if not math.isfinite(weight[row]):
+            root_w = 1.0 / z
+        row = int(np.argmax(~np.isfinite(root_w)))
+        if not math.isfinite(root_w[row]):
             raise ValueError(f"the decay solution w(t) is too small at t0 = "
-                             f"{t0_value!r} s: the weight 1/(w/n)^2 of data "
-                             f"row {row + 1} is not finite")
+                             f"{t0_value!r} s: the weight n/w of data row "
+                             f"{row + 1} is not finite")
         design = np.column_stack([np.ones_like(z), integral])
-        try:
-            z_hat = design @ _weighted_line(design, z, weight)[0]
-            return _weighted_line(design, z, 1.0 / z_hat ** 2)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"the two-body fit's weighted solve failed at "
-                             f"t0 = {t0_value!r} s: {exc}") from None
 
-    (u, beta), ssr, weighted = solve(t0)
+        def line(root_w):
+            coef, err, ssr = _weighted_line(design, z, root_w)
+            if np.isnan(err).any():
+                raise ValueError(f"the data do not determine n_init and beta "
+                                 f"at t0 = {t0_value!r} s")
+            return coef, err, ssr
+
+        with np.errstate(divide="ignore"):
+            return line(1.0 / (design @ line(root_w)[0]))
+
+    (u, beta), err, ssr = solve(t0)
     s2 = max(ssr / (t.size - 2), _EPS) if t.size > 2 else math.nan
-    u_err, beta_err = _stderr(weighted, s2)
+    u_err, beta_err = math.sqrt(s2) * err
     result = FitResult(
         params={"n_init": float(1.0 / u), "beta": float(beta)},
         stderr={"n_init": float(u_err / u ** 2), "beta": float(beta_err)},

@@ -41,12 +41,13 @@ def excitation_probability(light: LightField, species: SpeciesData) -> float:
 
     with s = total intensity over the polarization-averaged saturation
     intensity (7/3 I_s). Bounded by 1/2, increasing in intensity,
-    decreasing in |detuning|.
+    decreasing in |detuning|: 0 where (2 delta / gamma)^2 overflows.
     """
     s = light.total_intensity / (
         SATURATION_AVERAGE_FACTOR * species.saturation_intensity
     )
-    return 0.5 * s / (1.0 + s + (2.0 * light.detuning / species.gamma_eg) ** 2)
+    x = 2.0 * light.detuning / species.gamma_eg
+    return 0.5 * s / (1.0 + s + x * x)
 
 
 def transfer_rate(n_mot: float, p_e: float, species: SpeciesData,

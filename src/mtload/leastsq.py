@@ -9,11 +9,11 @@ iteration budget, or a stall where no step lowers the sum of squares,
 raises FitNotConvergedError. No randomized restarts: results are
 deterministic functions of the input.
 
-Every fit's standard errors, the closed-form fits' in ``estimation``
-included, come from one routine: sqrt(s2 diag((J^T J)^-1)), s2 the
-reduced chi-square, from the SVD of the Jacobian or weighted design with
-its columns scaled to unit norm. They are NaN, never an exact 0, for a
-parameter the data leave free or when no degree of freedom is left.
+One routine, ``_lstsq``, solves every linear least-squares problem: each
+damped step, the closed-form fits in ``estimation`` and every fit's
+standard errors, sqrt(s2 diag((J^T J)^-1)) with s2 the reduced
+chi-square. They are NaN, never an exact 0, for a parameter the data
+leave free or when no degree of freedom is left.
 
 A residual that is not finite marks a point outside the model's domain. A
 step whose sum of squares is infinite or NaN is never accepted: the damping
@@ -79,24 +79,29 @@ def numeric_jacobian(residual_fn, x: np.ndarray) -> np.ndarray:
     return jac
 
 
-def _stderr(jac: np.ndarray, s2: float) -> np.ndarray:
-    """Standard errors sqrt(s2 diag((J^T J)^-1)) from the SVD of J.
-
-    J's columns are scaled to unit norm first, so that parameters of very
-    different size do not look degenerate. A singular value at or below
-    max(m, n) eps s_max marks a direction the data leave free, and a
-    parameter whose weight in such a direction exceeds sqrt(eps) gets NaN,
-    never an exact 0; so does every parameter of a non-finite J.
+def _lstsq(a: np.ndarray, b: np.ndarray, lam: float = 0.0):
+    """The c minimizing |a c - b|^2 + lam |norms c|^2, norms a's column
+    norms, and the unit-variance errors sqrt(diag((a^T a)^-1)), from one
+    SVD of a with unit-norm columns (Numerical Recipes 15.4): no normal
+    equations square the condition number, and lam > 0 is Marquardt's
+    damping. A singular value at or below max(m, n) eps s_max marks a
+    direction the data leave free: c has no part along it, and a parameter
+    whose weight in it exceeds sqrt(eps) gets the error NaN, never 0. A
+    non-finite a gives NaN throughout. The norms are taken on columns
+    scaled by powers of two, exactly, so that they do not overflow.
     """
-    if not np.all(np.isfinite(jac)):
-        return np.full(jac.shape[1], math.nan)
-    norms = np.linalg.norm(jac, axis=0)
+    if not np.all(np.isfinite(a)):
+        return np.full(a.shape[1], math.nan), np.full(a.shape[1], math.nan)
+    _, exponent = np.frexp(np.max(np.abs(a), axis=0))
+    norms = np.ldexp(np.linalg.norm(np.ldexp(a, -exponent), axis=0), exponent)
     norms[norms == 0.0] = 1.0
-    _, sv, vt = np.linalg.svd(jac / norms, full_matrices=False)
-    free = sv <= max(jac.shape) * _EPS * sv[0]
-    var = np.sum((vt[~free] / sv[~free, None]) ** 2, axis=0)
+    u, sv, vt = np.linalg.svd(a / norms, full_matrices=False)
+    free = sv <= max(a.shape) * _EPS * sv[0]
+    kept, basis = sv[~free], vt[~free]
+    c = (kept / (kept * kept + lam) * (u[:, ~free].T @ b)) @ basis / norms
+    var = np.sum((basis / kept[:, None]) ** 2, axis=0)
     var[np.any(np.abs(vt[free]) > math.sqrt(_EPS), axis=0)] = math.nan
-    return np.sqrt(s2 * var) / norms
+    return c, np.sqrt(var) / norms
 
 
 def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
@@ -119,17 +124,8 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
 
     for iterations in range(1, _MAX_ITER + 1):
         jac = numeric_jacobian(residual_fn, x)
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0] = 1.0
         while lam <= _LAMBDA_MAX:
-            try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
-            except np.linalg.LinAlgError:
-                lam *= _LAMBDA_GROW
-                continue
-            x_new = x + step
+            x_new = x + _lstsq(jac, -r, lam)[0]
             r_new = np.asarray(residual_fn(x_new), dtype=float)
             ssr_new = float(r_new @ r_new)
             # False for an infinite or NaN ssr_new: the step is refused
@@ -156,7 +152,7 @@ def least_squares(residual_fn, x0, names: tuple[str, ...]) -> FitResult:
     # with no residual degree of freedom the scale, so every error, is
     # unknown: NaN, never an exact 0
     s2 = ssr / dof if dof > 0 else math.nan
-    stderr = _stderr(numeric_jacobian(residual_fn, x), s2)
+    stderr = math.sqrt(s2) * _lstsq(numeric_jacobian(residual_fn, x), r)[1]
     return FitResult(
         params=dict(zip(names, x.tolist())),
         stderr=dict(zip(names, stderr.tolist())),

@@ -96,8 +96,9 @@ def _require_excitation(p_e: float, figure: str) -> None:
     """Refuse a light field that excites no atom: with P_e = 0 neither
     figure has a rate to fit."""
     if p_e == 0.0:
-        raise ConfigError(f"light.intensity_per_beam_sat: must be positive "
-                          f"for {figure}; at 0 no atom is excited (P_e = 0)")
+        raise ConfigError(
+            "light.intensity_per_beam_sat, light.detuning_linewidths: no "
+            f"atom is excited (P_e = 0), so {figure} has no rate to fit")
 
 
 def _apply_noise(values: np.ndarray, sigma_rel: float,

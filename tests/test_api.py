@@ -125,13 +125,19 @@ def test_out_of_domain_argument_is_refused_by_name(call, valid, name,
             call(**{**valid, name: value})
 
 
+def package_trees():
+    """(module file name, parsed module) of each module of the package."""
+    for path in sorted(Path(mtload.__file__).parent.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def require_sites():
     """(scope, argument) of each ``require`` call in the package: the scope
     is the top-level class or function around it. A call whose argument
     name is not a literal stands for each field of its dataclass."""
     sites = set()
-    for path in sorted(Path(mtload.__file__).parent.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in package_trees():
+        for top in tree.body:
             if not isinstance(top, (ast.ClassDef, ast.FunctionDef)):
                 continue
             fields = [s.target.id for s in top.body
@@ -143,7 +149,7 @@ def require_sites():
                 arg = node.args[0]
                 names = ([arg.value] if isinstance(arg, ast.Constant)
                          else fields)
-                assert names, f"{path.name}:{node.lineno}: no argument name"
+                assert names, f"{module}:{node.lineno}: no argument name"
                 sites.update((top.name, name) for name in names)
     return sites
 
@@ -151,3 +157,20 @@ def require_sites():
 def test_every_guard_has_a_row():
     rows = {(call.__name__, name) for call, _, name, _ in GUARDS}
     assert require_sites() == rows
+
+
+def test_linear_algebra_has_one_home():
+    # leastsq._lstsq is the package's one linear least-squares solve: no
+    # other module reaches numpy.linalg, and no module catches LinAlgError
+    sites = []
+    for module, tree in package_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and "LinAlgError" in ast.unparse(node.type)):
+                sites.append(f"{module}:{node.lineno}: catches LinAlgError")
+            elif module != "leastsq.py" and (
+                    isinstance(node, ast.Attribute) and node.attr == "linalg"
+                    or isinstance(node, (ast.Import, ast.ImportFrom))
+                    and "linalg" in ast.unparse(node)):
+                sites.append(f"{module}:{node.lineno}: uses numpy.linalg")
+    assert sites == []

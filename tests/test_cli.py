@@ -88,21 +88,33 @@ def test_seed_recorded_in_output(tmp_path, small_scenario):
     assert "scenario-sha256" in meta
 
 
-@pytest.mark.parametrize("command, code", [
-    (name, 2 if name in ("figure2", "figure3") else 0)
-    for name in cli.SIMULATIONS])
-def test_simulations_without_excitation(tmp_path, capsys, command, code):
-    # intensity 0 is inside the key's domain, and P_e = 0 leaves figure2 a
-    # loading rate of 0 and figure3 n_e v = 0 to fit: both refuse the key
+# light inside its keys' domains that excites no atom, the simulations
+# that refuse it and a test id suffix. P_e = 0 leaves figure3 n_e v = 0 to
+# fit; at intensity 0 figure2, which scans its own detunings, has a
+# loading rate of 0 to fit. At a detuning of 1e300 (2 delta / gamma)^2
+# overflows, once with a bare OverflowError: P_e = 0 is its limit
+DARK = [("light.intensity_per_beam_sat = 0", ("figure2", "figure3"), ""),
+        ("light.detuning_linewidths = 1e300", ("figure3",), "-1e300"),
+        ("light.detuning_linewidths = -1e300", ("figure3",), "--1e300")]
+
+
+@pytest.mark.parametrize("line, command, code", [
+    pytest.param(line, name, code, id=f"{name}-{code}{suffix}")
+    for line, refused, suffix in DARK for name in cli.SIMULATIONS
+    for code in [2 if name in refused else 0]])
+def test_simulations_without_excitation(tmp_path, capsys, line, command,
+                                        code):
     cfg = tmp_path / "dark.cfg"
-    cfg.write_text(SMALL + "light.intensity_per_beam_sat = 0\n",
-                   encoding="utf-8")
+    cfg.write_text(SMALL + line + "\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     assert main([command, "--scenario", str(cfg), "--out", str(out)]) == code
     if code:
         err = capsys.readouterr().err
-        assert "config error" in err and "light.intensity_per_beam_sat" in err
+        assert "config error" in err and line.split(" = ")[0] in err
+        assert "(P_e = 0)" in err
         assert not out.exists()
+    else:
+        assert np.all(np.isfinite(read_csv(out).data))
 
 
 def test_negative_seed_is_config_error(capsys):
@@ -501,13 +513,18 @@ FIT_FAILURES = [
     ("shape-0x0", "density-image",
      edited("= 2x3", "= 0x0", "".join(TWO_BY_THREE.splitlines(True)[:5])), 2,
      ["config error", "image-shape"]),
-    # lifetimes far below the default decay's 10 s span: a weight
-    # 1/(w/n)^2 is not finite, or the weighted solve is singular; refused
-    # naming t0, with no RuntimeWarning (which pytest turns into an error)
+    # lifetimes far below the default decay's 10 s span leave the weighted
+    # design a free direction, or a weight n/w that is not finite; refused
+    # naming t0, with no RuntimeWarning (which pytest turns into an error).
+    # The solve of the normal equations once exited 0 at 0.1 and 0.07
+    *((f"two-body-t0-{t0}", "two-body", DECAY, 3,
+       ["numeric failure", f"do not determine n_init and beta at t0 = {t0} s"],
+       f"rates.background_lifetime_s = {t0}")
+      for t0 in ("0.2", "0.1", "0.07", "0.05")),
     *((f"two-body-t0-{t0}", "two-body", DECAY, 3,
        ["numeric failure", f"at t0 = {t0} s"],
        f"rates.background_lifetime_s = {t0}")
-      for t0 in ("0.05", "0.03", "0.02", "0.015", "0.01")),
+      for t0 in ("0.03", "0.02", "0.015", "0.01")),
     # at t0 = 5e-324 w(t) is 0 after the first sample
     ("two-body-t0-5e-324", "two-body", DECAY, 3,
      ["numeric failure", "at t0 = 5e-324 s", "data row 2 is not finite"],
@@ -558,6 +575,20 @@ def test_out_of_memory_is_numeric_failure(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "out of memory: Unable to allocate 7.45 GiB" in err
     assert not out.exists()
+
+
+def test_figure3_at_a_gradient_whose_squares_overflow(tmp_path):
+    # n_e v reaches 1e166, whose square overflows: the fit's column norms
+    # once did, and the figure-3 fit read NaN
+    cfg = tmp_path / "steep.cfg"
+    cfg.write_text("trap.gradient_G_per_cm = 1e300\n", encoding="utf-8")
+    code, out = run_to_file(tmp_path, ["figure3", "--scenario", str(cfg)])
+    assert code == 0
+    note = dict(line.split(" = ") for line in
+                read_csv(out).notes if line.startswith("fit "))
+    sigma = load_scenario(str(cfg))["rates.sigma_ed_m2"]
+    assert float(note["fit sigma_ed_m2"]) == pytest.approx(sigma, rel=1e-12,
+                                                           abs=0.0)
 
 
 def test_fit_linear_from_figure3_output(tmp_path, small_scenario):

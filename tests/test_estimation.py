@@ -15,10 +15,11 @@ from mtload import (DensityImage, FitNotConvergedError, GravityAxisError,
                     fit_two_body_loss, render_density_image, shape_params)
 from mtload.constants import G_ACCEL, K_B, MU_B
 from mtload.dynamics import decay_density_at
-from mtload import dynamics, estimation
+from mtload import dynamics, estimation, pipelines
 from mtload.estimation import (SampleSeries, image_from_table,
                                image_to_table, profile_model)
 from mtload.mc import seed_stream
+from mtload.scenario import load_scenario
 from mtload.tables import parse_csv
 
 
@@ -666,6 +667,39 @@ def test_two_body_fit_noiseless_round_trip_property(n_init, t0, alpha,
     assert res.extras.get("beta_consistent_with_zero", False) == (beta == 0)
     if beta > 0:
         assert res.params["beta"] == pytest.approx(beta, rel=1e-6, abs=0.0)
+
+
+def two_pass_reference(z, integral):
+    """n_init and beta of the two-body fit's two weighted passes, weights
+    1/z^2 then 1/z_hat^2, from the normal equations in 60-digit mpmath."""
+    with mpmath.workdps(60):
+        z = [mpmath.mpf(float(v)) for v in z]
+        s = [mpmath.mpf(float(v)) for v in integral]
+        z_hat = z
+        for _ in range(2):
+            w = [1 / v ** 2 for v in z_hat]
+            s00, s01 = mpmath.fsum(w), mpmath.fsum(a * b for a, b in zip(w, s))
+            s11 = mpmath.fsum(a * b * b for a, b in zip(w, s))
+            b0 = mpmath.fsum(a * b for a, b in zip(w, z))
+            b1 = mpmath.fsum(a * b * c for a, b, c in zip(w, s, z))
+            det = s00 * s11 - s01 ** 2
+            u, beta = (s11 * b0 - s01 * b1) / det, (s00 * b1 - s01 * b0) / det
+            z_hat = [u + beta * v for v in s]
+        return float(1 / u), float(beta)
+
+
+def test_two_body_fit_at_a_short_lifetime_matches_extended_precision():
+    # at t0 = 0.5 s on the default decay the weights 1/z^2 span 16
+    # decades: a solve of the normal equations in doubles was 3.7% off
+    table = parse_csv(pipelines.simulate_decay(load_scenario()).to_csv())
+    t, density = table.column("t"), table.column("n0")
+    res = fit_two_body_loss(SampleSeries(t, density), 0.5,
+                            SampleSeries(t, table.column("V")))
+    w, integral = dynamics._decay_solution(t, 0.5,
+                                           res.extras["volume_alpha"])
+    n_init, beta = two_pass_reference(w / density, integral)
+    assert res.params["n_init"] == pytest.approx(n_init, rel=1e-6, abs=0.0)
+    assert res.params["beta"] == pytest.approx(beta, rel=1e-6, abs=0.0)
 
 
 def test_two_body_fit_on_two_samples_has_no_stderr():

@@ -173,18 +173,36 @@ def test_infinite_residual_on_both_sides_stalls_without_warning():
 
 
 def test_zero_jacobian_column_gives_nan_stderr():
-    # a parameter that moves no residual is free: NaN, never an exact 0;
-    # its orthogonal partners keep sqrt(s2) / ||column||, however unlike
-    # their sizes are
+    # a parameter that moves no residual is free: no step along it and the
+    # error NaN, never an exact 0; its orthogonal partners keep the
+    # solution and the error 1 / ||column||, however unlike their sizes are
     jac = np.array([[3.0, 0.0, 0.0],
                     [0.0, 1e17, 0.0],
                     [4.0, 0.0, 0.0],
                     [0.0, 1e17, 0.0]])
-    stderr = leastsq._stderr(jac, 2.0)
-    assert np.isnan(stderr[2])
-    assert stderr[0] == pytest.approx(np.sqrt(2.0) / 5.0, rel=1e-15, abs=0)
-    assert stderr[1] == pytest.approx(np.sqrt(2.0) / (np.sqrt(2.0) * 1e17),
+    c, stderr = leastsq._lstsq(jac, np.array([1.0, 2.0, 3.0, 4.0]))
+    assert np.isnan(stderr[2]) and c[2] == 0.0
+    assert c[0] == pytest.approx(15.0 / 25.0, rel=1e-15, abs=0)
+    assert c[1] == pytest.approx(3e-17, rel=1e-15, abs=0)
+    assert stderr[0] == pytest.approx(1.0 / 5.0, rel=1e-15, abs=0)
+    assert stderr[1] == pytest.approx(1.0 / (np.sqrt(2.0) * 1e17),
                                       rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3, 1.0, 1e3])
+def test_step_and_errors_match_the_normal_equations(rng, lam):
+    # the normal equations, kept only here as the reference: on a
+    # well-conditioned J the SVD's step solves
+    # (J^T J + lam diag(J^T J)) s = -J^T r, and its errors are
+    # sqrt(diag((J^T J)^-1))
+    jac = rng.standard_normal((20, 4)) * [1.0, 1e3, 1e-2, 5.0]
+    r = rng.standard_normal(20)
+    jtj = jac.T @ jac
+    step, err = leastsq._lstsq(jac, -r, lam)
+    expected = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -jac.T @ r)
+    np.testing.assert_allclose(step, expected, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(err, np.sqrt(np.diag(np.linalg.inv(jtj))),
+                               rtol=1e-12, atol=0)
 
 
 def test_jacobian_reaching_outside_domain_gives_nan_stderr():
